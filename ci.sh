@@ -214,6 +214,14 @@ grep -Eq 'key-classes +1$' "$WORK/count1.out"
 "$GLK" trace-check "$WORK/count.jsonl" --sites count
 "$GLK" fuzz --seed 11 --cases 60 --referee count-vs-exhaustive
 
+# perfbench smoke: a short lock-flow run (parse, STA, feasibility, GK
+# insertion, SAT attack on the seven IWLS profiles) must report every op
+# correct and none failed.
+python3 perfbench/run.py --workload lock-flow --seed 1 --seconds 3 --trace 0 \
+    > "$WORK/perfbench.out"
+tail -n 1 "$WORK/perfbench.out" | grep -q '"correct": true'
+tail -n 1 "$WORK/perfbench.out" | grep -q '"failed": 0,'
+
 # sat_solver bench smoke: trimmed tiers, 1 ms measurement windows, no
 # snapshot rewrite — proves the harness (both backends, obs counters,
 # equivalence tier) runs end to end.

@@ -43,7 +43,7 @@ fn main() {
         let clock = ClockModel::new(profile.clock_period);
         let report = analyze_feasibility(&nl, &lib, &clock, &design);
         let available = report.available();
-        let group = select_encrypt_ff(&nl, &available);
+        let group = select_encrypt_ff(&nl, &available).expect("generated profiles are acyclic");
         (stats, available.len(), report.coverage_pct(), group.len())
     });
     for ((profile, paper), (stats, available, cov, group)) in

@@ -16,6 +16,7 @@ use glitchlock_netlist::{CellId, GateKind, Netlist};
 use glitchlock_obs::{self as obs, names};
 use glitchlock_sta::{analyze, ClockModel, TimingReport};
 use glitchlock_stdcell::{Library, Ps};
+use std::collections::{HashMap, HashSet};
 
 /// Why a flip-flop was rejected (or accepted).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,6 +61,8 @@ impl FfFeasibility {
 #[derive(Clone, Debug)]
 pub struct FeasibilityReport {
     entries: Vec<FfFeasibility>,
+    /// Position of each flip-flop's entry in `entries`.
+    index: HashMap<CellId, usize>,
     total_ffs: usize,
 }
 
@@ -93,7 +96,7 @@ impl FeasibilityReport {
 
     /// The entry for one flip-flop.
     pub fn entry_of(&self, ff: CellId) -> Option<&FfFeasibility> {
-        self.entries.iter().find(|e| e.ff == ff)
+        self.index.get(&ff).map(|&i| &self.entries[i])
     }
 }
 
@@ -136,7 +139,7 @@ pub fn analyze_feasibility_with(
     design: &GkDesign,
     sta: &TimingReport,
 ) -> FeasibilityReport {
-    let critical: Vec<CellId> = sta.critical_ffs(netlist);
+    let critical: HashSet<CellId> = sta.critical_ffs(netlist).into_iter().collect();
     let d_react = library
         .cell(library.default_cell(GateKind::Mux2))
         .delay_with_fanout(1);
@@ -206,6 +209,7 @@ pub fn analyze_feasibility_with(
     }
     FeasibilityReport {
         total_ffs: entries.len(),
+        index: entries.iter().enumerate().map(|(i, e)| (e.ff, i)).collect(),
         entries,
     }
 }

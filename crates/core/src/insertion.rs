@@ -140,6 +140,7 @@ impl GkEncryptor {
     /// * [`CoreError::NotEnoughSites`] if fewer than `n_gks` flip-flops are
     ///   feasible.
     /// * [`CoreError::Delay`] if a delay chain cannot be composed.
+    /// * [`CoreError::Netlist`] if `original` has a combinational cycle.
     pub fn encrypt<R: Rng>(
         &self,
         original: &Netlist,
@@ -148,6 +149,8 @@ impl GkEncryptor {
         rng: &mut R,
     ) -> Result<GkLocked, CoreError> {
         let _span = obs::span("lock.gk");
+        // STA assumes an acyclic netlist; reject a cyclic one up front.
+        original.topo_order_cached()?;
         let mut work = original.clone();
         let sta = analyze(&work, library, clock);
         let feas = analyze_feasibility_with(&work, library, clock, &self.design, &sta);
@@ -359,7 +362,7 @@ impl GkEncryptor {
         let mut ordered: Vec<CellId> = if self.prefer_encrypt_ff_group {
             // Largest same-output-cone groups first (Encrypt-FF), shuffled
             // within each group.
-            let groups = crate::encrypt_ff::group_by_output_cone(netlist, &available);
+            let groups = crate::encrypt_ff::group_by_output_cone(netlist, &available)?;
             let mut v = Vec::with_capacity(available.len());
             for mut g in groups {
                 g.ffs.shuffle(rng);
@@ -532,6 +535,27 @@ mod tests {
         GkEncryptor::new(n_gks)
             .encrypt(&nl, &lib, &clock, &mut rng)
             .expect("tiny profile has feasible FFs")
+    }
+
+    #[test]
+    fn cyclic_netlist_is_an_error_not_a_panic() {
+        use glitchlock_netlist::GateKind;
+        // a AND fb -> INV -> DFF, then fb rewired to the inverter's output.
+        let mut nl = Netlist::new("loop");
+        let a = nl.add_input("a");
+        let fb = nl.add_net("fb");
+        let x = nl.add_gate(GateKind::And, &[a, fb]).unwrap();
+        let y = nl.add_gate(GateKind::Inv, &[x]).unwrap();
+        let q = nl.add_dff(y).unwrap();
+        nl.mark_output(q, "q");
+        let and = nl.net(x).driver().unwrap();
+        nl.rewire_input(and, 1, y).unwrap();
+        let clock = ClockModel::new(Ps::from_ns(3));
+        let mut rng = StdRng::seed_from_u64(1);
+        match GkEncryptor::new(1).encrypt(&nl, &lib(), &clock, &mut rng) {
+            Err(CoreError::Netlist(msg)) => assert!(msg.contains("cycle"), "{msg}"),
+            other => panic!("expected a netlist error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! outputs they can reach*, and key-gates are placed on a group fanning out
 //! to the same outputs.
 
-use crate::{CellId, NetId, Netlist};
+use crate::{CellId, NetId, Netlist, NetlistError};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
 /// Returns the set of cells in the transitive fanin cone of `net`
@@ -60,19 +60,82 @@ pub fn fanout_cone(netlist: &Netlist, net: NetId, through_ffs: bool) -> HashSet<
     seen
 }
 
-/// The set of primary-output indices (into [`Netlist::output_ports`])
-/// reachable from `net` through combinational logic only.
-pub fn reachable_outputs(netlist: &Netlist, net: NetId) -> BTreeSet<usize> {
-    let cone = fanout_cone(netlist, net, false);
-    let mut cone_nets: HashSet<NetId> = cone.iter().map(|&c| netlist.cell(c).output()).collect();
-    cone_nets.insert(net);
-    netlist
-        .output_ports()
-        .iter()
-        .enumerate()
-        .filter(|(_, (n, _))| cone_nets.contains(n))
-        .map(|(i, _)| i)
-        .collect()
+/// The primary outputs every net reaches through combinational logic only,
+/// as one bitset per net: bit `i` stands for [`Netlist::output_ports`]
+/// index `i`.
+#[derive(Clone, Debug)]
+pub struct OutputReach {
+    /// Words per net, `⌈POs/64⌉`.
+    words: usize,
+    /// All bitsets back to back, indexed by [`NetId::index`].
+    bits: Vec<u64>,
+}
+
+impl OutputReach {
+    /// The bitset of `net`: output port `i` is bit `i % 64` of word `i / 64`.
+    pub fn words(&self, net: NetId) -> &[u64] {
+        &self.bits[net.index() * self.words..(net.index() + 1) * self.words]
+    }
+
+    /// The output-port indices `net` reaches, ascending.
+    pub fn outputs(&self, net: NetId) -> BTreeSet<usize> {
+        self.words(net)
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                (0..64)
+                    .filter(move |b| word >> b & 1 == 1)
+                    .map(move |b| w * 64 + b)
+            })
+            .collect()
+    }
+}
+
+/// Computes the primary outputs reachable from every net in one
+/// reverse-topological pass, O(cells × ⌈POs/64⌉).
+///
+/// A net reaches its own output ports plus everything its combinational
+/// sinks reach; a flip-flop sink ends the walk, so an output sitting on a
+/// downstream flip-flop's Q is not reached.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::CombinationalCycle`] if the combinational part
+/// is cyclic.
+pub fn output_reach(netlist: &Netlist) -> Result<OutputReach, NetlistError> {
+    let order = netlist.topo_order_cached()?;
+    let words = netlist.output_ports().len().div_ceil(64);
+    let mut bits = vec![0u64; netlist.net_count() * words];
+    for (i, &(net, _)) in netlist.output_ports().iter().enumerate() {
+        bits[net.index() * words + i / 64] |= 1 << (i % 64);
+    }
+    let mut absorb_sinks = |net: NetId| {
+        let dst = net.index() * words;
+        for &(sink, _) in netlist.net(net).fanout() {
+            let cell = netlist.cell(sink);
+            if cell.kind().is_combinational() {
+                let src = cell.output().index() * words;
+                for w in 0..words {
+                    bits[dst + w] |= bits[src + w];
+                }
+            }
+        }
+    };
+    // Every combinational sink comes later in topological order, so its
+    // bitset is final by the time its drivers read it.
+    for &cell in order.iter().rev() {
+        absorb_sinks(netlist.cell(cell).output());
+    }
+    // Then the nets no combinational cell drives: primary inputs,
+    // flip-flop Q pins, and undriven nets.
+    for (net, n) in netlist.nets() {
+        if n.driver()
+            .is_none_or(|d| !netlist.cell(d).kind().is_combinational())
+        {
+            absorb_sinks(net);
+        }
+    }
+    Ok(OutputReach { words, bits })
 }
 
 /// The set of primary-input indices in the combinational support of `net`.
@@ -116,16 +179,90 @@ mod tests {
         assert!(with.len() > without.len());
     }
 
+    /// The per-net BFS [`output_reach`] replaced, kept as its referee: the
+    /// fanout cone without crossing flip-flops, then the outputs sitting on
+    /// `net` itself or on a combinational cone cell's output.
+    fn referee_outputs(nl: &Netlist, net: NetId) -> BTreeSet<usize> {
+        let cone_nets: HashSet<NetId> = fanout_cone(nl, net, false)
+            .into_iter()
+            .filter(|&c| nl.cell(c).kind().is_combinational())
+            .map(|c| nl.cell(c).output())
+            .chain([net])
+            .collect();
+        nl.output_ports()
+            .iter()
+            .enumerate()
+            .filter(|(_, (n, _))| cone_nets.contains(n))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    fn assert_matches_referee(nl: &Netlist) {
+        let reach = output_reach(nl).unwrap();
+        for (net, _) in nl.nets() {
+            assert_eq!(reach.outputs(net), referee_outputs(nl, net), "net {net:?}");
+        }
+    }
+
     #[test]
-    fn reachable_outputs_respects_ff_boundary() {
+    fn output_reach_respects_ff_boundary() {
         let (nl, a, q, _) = diamond();
+        let reach = output_reach(&nl).unwrap();
         // From input a, only y1 is combinationally reachable (y2 is behind
         // the flip-flop).
-        let r = reachable_outputs(&nl, a);
-        assert_eq!(r.into_iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(reach.outputs(a).into_iter().collect::<Vec<_>>(), vec![0]);
         // From the flip-flop's Q, only y2.
-        let r = reachable_outputs(&nl, q);
-        assert_eq!(r.into_iter().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(reach.outputs(q).into_iter().collect::<Vec<_>>(), vec![1]);
+        assert_matches_referee(&nl);
+    }
+
+    #[test]
+    fn output_on_downstream_q_is_not_reached() {
+        // a -> inv -> ff; the flip-flop's Q is itself output y. The
+        // flip-flop ends the combinational walk, so a and the inverter
+        // reach nothing, while Q reaches its own port.
+        let mut nl = Netlist::new("q_po");
+        let a = nl.add_input("a");
+        let i = nl.add_gate(GateKind::Inv, &[a]).unwrap();
+        let q = nl.add_dff(i).unwrap();
+        nl.mark_output(q, "y");
+        let reach = output_reach(&nl).unwrap();
+        assert!(reach.outputs(a).is_empty());
+        assert!(reach.outputs(i).is_empty());
+        assert_eq!(reach.outputs(q).into_iter().collect::<Vec<_>>(), vec![0]);
+        assert_matches_referee(&nl);
+    }
+
+    #[test]
+    fn bitsets_span_several_words() {
+        // 130 outputs on one inverter chain: three words per net, and the
+        // chain head reaches every port.
+        let mut nl = Netlist::new("wide");
+        let mut net = nl.add_input("a");
+        for i in 0..130 {
+            net = nl.add_gate(GateKind::Inv, &[net]).unwrap();
+            nl.mark_output(net, format!("y{i}"));
+        }
+        let reach = output_reach(&nl).unwrap();
+        let head = nl.input_nets()[0];
+        assert_eq!(reach.words(head).len(), 3);
+        assert_eq!(reach.outputs(head), (0..130).collect());
+        assert_eq!(reach.outputs(net), BTreeSet::from([129]));
+        assert_matches_referee(&nl);
+    }
+
+    #[test]
+    fn combinational_cycle_is_an_error() {
+        let mut nl = Netlist::new("loop");
+        let a = nl.add_input("a");
+        let x = nl.add_gate(GateKind::And, &[a, a]).unwrap();
+        let y = nl.add_gate(GateKind::Inv, &[x]).unwrap();
+        nl.rewire_input(nl.net(x).driver().unwrap(), 1, y).unwrap();
+        nl.mark_output(y, "y");
+        assert!(matches!(
+            output_reach(&nl),
+            Err(NetlistError::CombinationalCycle { .. })
+        ));
     }
 
     #[test]

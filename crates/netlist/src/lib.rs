@@ -62,7 +62,7 @@ pub mod verilog;
 
 pub use aig::{extract_cone_netlist, Aig, AigLit, AigNode, ConeExtraction};
 pub use comb::{CombView, SeqState};
-pub use cone::{fanin_cone, fanout_cone, output_support, reachable_outputs};
+pub use cone::{fanin_cone, fanout_cone, output_reach, output_support, OutputReach};
 pub use depth::{depth_histogram, levelize, max_depth};
 pub use error::NetlistError;
 pub use id::{CellId, LibCellId, NetId};

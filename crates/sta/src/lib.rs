@@ -117,6 +117,8 @@ pub struct TimingReport {
     arrival_max: Vec<Ps>,
     arrival_min: Vec<Ps>,
     checks: Vec<FfCheck>,
+    /// Position of each flip-flop's check in `checks`.
+    check_index: HashMap<CellId, usize>,
     critical_path: Vec<CellId>,
     wns: i64,
 }
@@ -139,7 +141,7 @@ impl TimingReport {
 
     /// The check for one flip-flop, if it exists in the design.
     pub fn check_of(&self, ff: CellId) -> Option<&FfCheck> {
-        self.checks.iter().find(|c| c.ff == ff)
+        self.check_index.get(&ff).map(|&i| &self.checks[i])
     }
 
     /// Worst negative slack across all checks (0 when everything meets
@@ -317,10 +319,12 @@ pub fn analyze(netlist: &Netlist, library: &Library, clock: &ClockModel) -> Timi
         .unwrap_or(0)
         .min(0);
 
+    let check_index = checks.iter().enumerate().map(|(i, c)| (c.ff, i)).collect();
     TimingReport {
         arrival_max,
         arrival_min,
         checks,
+        check_index,
         critical_path,
         wns,
     }

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         available.len(),
         report.coverage_pct()
     );
-    let group = select_encrypt_ff(&nl, &available);
+    let group = select_encrypt_ff(&nl, &available)?;
     println!(
         "   Encrypt-FF group (same output cone): {} FFs",
         group.len()

@@ -2,13 +2,18 @@
 //! invariants. Each test replays a fixed number of cases drawn from a
 //! deterministic PRNG, so failures reproduce exactly.
 
-use glitchlock::netlist::{bench_format, GateKind, Logic, Netlist, SeqState};
+use glitchlock::circuits::{generate, iwls2005_profiles, tiny};
+use glitchlock::core::encrypt_ff::{group_by_output_cone, FfGroup};
+use glitchlock::netlist::{
+    bench_format, fanout_cone, output_reach, CellId, GateKind, Logic, NetId, Netlist, SeqState,
+};
 use glitchlock::sat::{encode_comb, Lit, SatResult, Solver};
 use glitchlock::stdcell::Ps;
 use glitchlock::synth::{optimize, plan_chain};
 use glitchlock::{core::windows::GkTiming, stdcell::Library};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Builds a random combinational netlist from a compact recipe.
 fn random_comb_netlist(n_inputs: usize, gates: &[(u8, Vec<usize>)]) -> Option<Netlist> {
@@ -311,17 +316,93 @@ fn sweep_preserves_sequential_behaviour() {
     }
 }
 
+/// The per-net BFS that one-pass `output_reach` replaced, as its referee:
+/// the fanout cone without crossing flip-flops, then the outputs sitting on
+/// `net` itself or on a combinational cone cell's output (a flip-flop sink
+/// ends the walk, so its Q does not count).
+fn referee_outputs(nl: &Netlist, net: NetId) -> BTreeSet<usize> {
+    let cone_nets: HashSet<NetId> = fanout_cone(nl, net, false)
+        .into_iter()
+        .filter(|&c| nl.cell(c).kind().is_combinational())
+        .map(|c| nl.cell(c).output())
+        .chain([net])
+        .collect();
+    nl.output_ports()
+        .iter()
+        .enumerate()
+        .filter(|(_, (n, _))| cone_nets.contains(n))
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// Groups every flip-flop the way Encrypt-FF did with one referee BFS per
+/// flip-flop: keyed by output set, largest group first, ties by set order.
+fn referee_groups(nl: &Netlist) -> Vec<FfGroup> {
+    let mut groups: BTreeMap<BTreeSet<usize>, Vec<CellId>> = BTreeMap::new();
+    for &ff in nl.dff_cells() {
+        let outs = referee_outputs(nl, nl.cell(ff).output());
+        groups.entry(outs).or_default().push(ff);
+    }
+    let mut v: Vec<FfGroup> = groups
+        .into_iter()
+        .map(|(outputs, ffs)| FfGroup { outputs, ffs })
+        .collect();
+    v.sort_by(|a, b| {
+        b.ffs
+            .len()
+            .cmp(&a.ffs.len())
+            .then(a.outputs.cmp(&b.outputs))
+    });
+    v
+}
+
+/// The one-pass reach must equal the referee on every net, and Encrypt-FF
+/// grouping must equal the referee grouping, groups and order alike.
+fn assert_reach_matches_referee(label: &str, nl: &Netlist) {
+    let reach = output_reach(nl).unwrap();
+    for (net, _) in nl.nets() {
+        assert_eq!(
+            reach.outputs(net),
+            referee_outputs(nl, net),
+            "{label}: net {net:?}"
+        );
+    }
+    assert_eq!(
+        group_by_output_cone(nl, nl.dff_cells()).unwrap(),
+        referee_groups(nl),
+        "{label}: groups"
+    );
+}
+
+#[test]
+fn output_reach_matches_bfs_referee_on_paper_profiles() {
+    // One thread per profile: the referee is a BFS per net, slow on the
+    // s38 profiles in an unoptimized build.
+    std::thread::scope(|s| {
+        for profile in iwls2005_profiles() {
+            s.spawn(move || assert_reach_matches_referee(profile.name, &generate(&profile)));
+        }
+    });
+    for seed in 0..8 {
+        assert_reach_matches_referee(&format!("tiny({seed})"), &generate(&tiny(seed)));
+    }
+}
+
+#[test]
+fn output_reach_matches_bfs_referee_on_random_sequential_netlists() {
+    let mut rng = StdRng::seed_from_u64(0x0c0e);
+    for case in 0..200 {
+        let (_, nl) = draw_seq_netlist(&mut rng);
+        assert_reach_matches_referee(&format!("case {case}"), &nl);
+    }
+}
+
 /// Sweeps every data-input pattern with the key pinned at its correct
 /// value and demands the dataflow constant lattice land on exactly the
 /// value the packed engine computes, on every net (flip-flop state free,
 /// i.e. `X`, in both engines).
-fn assert_const_prop_matches_packed(
-    label: &str,
-    nl: &Netlist,
-    key_inputs: &[glitchlock::netlist::NetId],
-    key: &[bool],
-) {
-    use glitchlock::netlist::{EvalProgram, NetId, PackedLogic, LANES};
+fn assert_const_prop_matches_packed(label: &str, nl: &Netlist, key_inputs: &[NetId], key: &[bool]) {
+    use glitchlock::netlist::{EvalProgram, PackedLogic, LANES};
     let n_in = nl.input_nets().len();
     let data_width = n_in - key_inputs.len();
     assert!(data_width <= 8, "{label}: sweep must stay exhaustive");
