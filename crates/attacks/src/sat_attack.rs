@@ -18,8 +18,7 @@ use glitchlock_netlist::{
 };
 use glitchlock_obs::{self as obs, names};
 use glitchlock_sat::{
-    encode_aig_into, encode_comb_into, EncoderKind, Lit, SatResult, Solver, SolverBackend,
-    SolverStats, Var,
+    encode_aig_into, EncoderKind, Lit, SatResult, Solver, SolverBackend, SolverStats, Var,
 };
 use std::time::Instant;
 
@@ -92,10 +91,6 @@ pub struct SatAttack<'a> {
     /// Optional cooperative cancellation: polled before every DIP
     /// iteration (a single solver call is never interrupted).
     pub cancel: Option<CancelToken>,
-    /// Which CDCL strategy profile drives the DIP loop.
-    pub backend: SolverBackend,
-    /// Which CNF encoder builds the miter (flat Tseitin or strashed AIG).
-    pub encoder: EncoderKind,
 }
 
 impl<'a> SatAttack<'a> {
@@ -108,8 +103,6 @@ impl<'a> SatAttack<'a> {
             oracle,
             max_iterations: 4096,
             cancel: None,
-            backend: SolverBackend::default(),
-            encoder: EncoderKind::default(),
         }
     }
 
@@ -123,13 +116,11 @@ impl<'a> SatAttack<'a> {
         let _span = obs::span("attack.sat");
         let iter_counter = obs::counter(names::SAT_ITERATIONS);
         let dip_counter = obs::counter(names::SAT_DIPS);
-        let mut session = MiterSession::with_config(
+        let mut session = MiterSession::new(
             self.locked,
             &self.key_inputs,
             &self.ignored_inputs,
             self.oracle,
-            self.backend,
-            self.encoder,
         );
         let mut dips = Vec::new();
         let mut iterations = 0;
@@ -240,11 +231,10 @@ pub struct MiterSession<'a> {
     in1: Vec<Var>,
     in2: Vec<Var>,
     miter_gate: Var,
-    encoder: EncoderKind,
-    /// The locked view lowered to a strashed AIG once (AIG encoder only);
-    /// replayed per IO constraint with data pins as constants so the
-    /// rewrite rules fold each constraint copy down to its key cone.
-    aig_single: Option<Aig>,
+    /// The locked view lowered to a strashed AIG once; replayed per IO
+    /// constraint with data pins as constants so the rewrite rules fold
+    /// each constraint copy down to its key cone.
+    single: Aig,
     /// Stats snapshot at the previous solver call, for per-call deltas.
     last_stats: SolverStats,
     /// True when the last `find_dip` came back UNSAT at the root (the
@@ -253,7 +243,11 @@ pub struct MiterSession<'a> {
 }
 
 impl<'a> MiterSession<'a> {
-    /// Builds the two-copy miter on the default solver backend.
+    /// Builds the two-copy miter. The locked view is lowered to a
+    /// strashed AIG once and replayed for both copies into one graph —
+    /// structural hashing merges every key-independent cone between the
+    /// copies, and output pairs whose AIG literals coincide are provably
+    /// key-independent and skipped by the miter entirely.
     ///
     /// # Panics
     ///
@@ -264,58 +258,6 @@ impl<'a> MiterSession<'a> {
         key_inputs: &[NetId],
         ignored_inputs: &[NetId],
         oracle: &'a Netlist,
-    ) -> Self {
-        MiterSession::with_backend(
-            locked,
-            key_inputs,
-            ignored_inputs,
-            oracle,
-            SolverBackend::default(),
-        )
-    }
-
-    /// Builds the two-copy miter on an explicit solver backend and the
-    /// default encoder.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the locked view's non-key inputs do not align with the
-    /// oracle.
-    pub fn with_backend(
-        locked: &'a Netlist,
-        key_inputs: &[NetId],
-        ignored_inputs: &[NetId],
-        oracle: &'a Netlist,
-        backend: SolverBackend,
-    ) -> Self {
-        MiterSession::with_config(
-            locked,
-            key_inputs,
-            ignored_inputs,
-            oracle,
-            backend,
-            EncoderKind::default(),
-        )
-    }
-
-    /// Builds the two-copy miter on an explicit solver backend and CNF
-    /// encoder. With [`EncoderKind::Aig`] the locked view is lowered to a
-    /// strashed AIG once and replayed for both copies into one graph —
-    /// structural hashing merges every key-independent cone between the
-    /// copies, and output pairs whose AIG literals coincide are provably
-    /// key-independent and skipped by the miter entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the locked view's non-key inputs do not align with the
-    /// oracle.
-    pub fn with_config(
-        locked: &'a Netlist,
-        key_inputs: &[NetId],
-        ignored_inputs: &[NetId],
-        oracle: &'a Netlist,
-        backend: SolverBackend,
-        encoder: EncoderKind,
     ) -> Self {
         let view = CombView::new(locked);
         let locked_program = EvalProgram::compile(locked).expect("locked netlist must be acyclic");
@@ -341,75 +283,51 @@ impl<'a> MiterSession<'a> {
             "output widths must align"
         );
 
-        let mut solver = Solver::with_backend(backend);
-        let mut aig_single = None;
-        let (in1, in2, diff_lits) = match encoder {
-            EncoderKind::Flat => {
-                let ports1 = encode_comb_into(&mut solver, locked, &view, &[]);
-                let pinned: Vec<Option<Var>> = (0..role.len())
-                    .map(|i| (role[i] != Role::Key).then(|| ports1.input_vars[i]))
-                    .collect();
-                let ports2 = encode_comb_into(&mut solver, locked, &view, &pinned);
-                let mut diff_lits = Vec::new();
-                for (o1, o2) in ports1.output_vars.iter().zip(&ports2.output_vars) {
-                    let d = solver.new_var();
-                    encode_xor(&mut solver, d, *o1, *o2);
-                    diff_lits.push(Lit::pos(d));
-                }
-                (ports1.input_vars, ports2.input_vars, diff_lits)
+        let mut solver = Solver::new();
+        let single = Aig::from_comb(locked, &view);
+        let mut miter = Aig::new();
+        // Shared input per non-key position; two inputs per key position.
+        // `ord*` remember each position's miter-input ordinal so solver
+        // variables can be mapped back.
+        let mut map1 = Vec::with_capacity(role.len());
+        let mut map2 = Vec::with_capacity(role.len());
+        let mut ord1 = Vec::with_capacity(role.len());
+        let mut ord2 = Vec::with_capacity(role.len());
+        for &r in &role {
+            let o1 = miter.num_inputs();
+            let l1 = miter.add_input();
+            let (o2, l2) = if r == Role::Key {
+                (miter.num_inputs(), miter.add_input())
+            } else {
+                (o1, l1)
+            };
+            map1.push(l1);
+            map2.push(l2);
+            ord1.push(o1);
+            ord2.push(o2);
+        }
+        let out1 = single.rebuild_into(&mut miter, &map1);
+        let out2 = single.rebuild_into(&mut miter, &map2);
+        for (&a, &b) in out1.iter().zip(&out2) {
+            // Equal literals mean strash proved the output key-independent:
+            // no clause needed.
+            let d = miter.xor(a, b);
+            if d != AigLit::FALSE {
+                miter.mark_output(d);
             }
-            EncoderKind::Aig => {
-                let single = Aig::from_comb(locked, &view);
-                let mut miter = Aig::new();
-                // Shared input per non-key position; two inputs per key
-                // position. `ord*` remember each position's miter-input
-                // ordinal so solver variables can be mapped back.
-                let mut map1 = Vec::with_capacity(role.len());
-                let mut map2 = Vec::with_capacity(role.len());
-                let mut ord1 = Vec::with_capacity(role.len());
-                let mut ord2 = Vec::with_capacity(role.len());
-                for &r in &role {
-                    let o1 = miter.num_inputs();
-                    let l1 = miter.add_input();
-                    let (o2, l2) = if r == Role::Key {
-                        (miter.num_inputs(), miter.add_input())
-                    } else {
-                        (o1, l1)
-                    };
-                    map1.push(l1);
-                    map2.push(l2);
-                    ord1.push(o1);
-                    ord2.push(o2);
-                }
-                let out1 = single.rebuild_into(&mut miter, &map1);
-                let out2 = single.rebuild_into(&mut miter, &map2);
-                for (&a, &b) in out1.iter().zip(&out2) {
-                    // Equal literals mean strash proved the output
-                    // key-independent: no clause needed.
-                    let d = miter.xor(a, b);
-                    if d != AigLit::FALSE {
-                        miter.mark_output(d);
-                    }
-                }
-                // Only the cone feeding the surviving diff outputs goes to
-                // the solver — logic that no key-dependent output observes
-                // never becomes a clause. Every miter input still gets a
-                // solver variable up front: `find_dip`/`extract_key` read
-                // them, and off-cone data bits are legitimately free.
-                let input_vars: Vec<Var> =
-                    (0..miter.num_inputs()).map(|_| solver.new_var()).collect();
-                let keep: Vec<usize> = (0..miter.outputs().len()).collect();
-                let cone = miter.extract_cone(&keep);
-                let pinned: Vec<Option<Var>> =
-                    cone.support.iter().map(|&k| Some(input_vars[k])).collect();
-                let ports = encode_aig_into(&mut solver, &cone.aig, &pinned);
-                let diff_lits = ports.output_lits.clone();
-                let in1 = ord1.iter().map(|&o| input_vars[o]).collect();
-                let in2 = ord2.iter().map(|&o| input_vars[o]).collect();
-                aig_single = Some(single);
-                (in1, in2, diff_lits)
-            }
-        };
+        }
+        // Only the cone feeding the surviving diff outputs goes to the
+        // solver — logic that no key-dependent output observes never
+        // becomes a clause. Every miter input still gets a solver variable
+        // up front: `find_dip`/`extract_key` read them, and off-cone data
+        // bits are legitimately free.
+        let input_vars: Vec<Var> = (0..miter.num_inputs()).map(|_| solver.new_var()).collect();
+        let keep: Vec<usize> = (0..miter.outputs().len()).collect();
+        let cone = miter.extract_cone(&keep);
+        let pinned: Vec<Option<Var>> = cone.support.iter().map(|&k| Some(input_vars[k])).collect();
+        let diff_lits = encode_aig_into(&mut solver, &cone.aig, &pinned).output_lits;
+        let in1: Vec<Var> = ord1.iter().map(|&o| input_vars[o]).collect();
+        let in2: Vec<Var> = ord2.iter().map(|&o| input_vars[o]).collect();
         for i in (0..role.len()).filter(|&i| role[i] == Role::Ignored) {
             solver.add_clause(&[Lit::neg(in1[i])]);
         }
@@ -429,11 +347,29 @@ impl<'a> MiterSession<'a> {
             in1,
             in2,
             miter_gate,
-            encoder,
-            aig_single,
+            single,
             last_stats: SolverStats::default(),
             root_unsat: false,
         }
+    }
+
+    /// [`MiterSession::new`] with the solver profile and CNF encoder
+    /// spelled out. Each type has exactly one value, so this builds the
+    /// same miter as `new`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the locked view's non-key inputs do not align with the
+    /// oracle.
+    pub fn with_config(
+        locked: &'a Netlist,
+        key_inputs: &[NetId],
+        ignored_inputs: &[NetId],
+        oracle: &'a Netlist,
+        _backend: SolverBackend,
+        _encoder: EncoderKind,
+    ) -> Self {
+        MiterSession::new(locked, key_inputs, ignored_inputs, oracle)
     }
 
     /// Searches for a distinguishing input pattern; `None` means the miter
@@ -467,72 +403,42 @@ impl<'a> MiterSession<'a> {
 
     /// Constrains both key copies to agree with `response` on `data`.
     ///
-    /// Under the AIG encoder the constraint copy is built by replaying the
-    /// lowered view with the data pins as constant literals, so the
-    /// rewrite rules fold the copy down to its key cone before any clause
-    /// is emitted; a constraint contradicting a constant output lands on
-    /// the always-false constant variable and makes the formula UNSAT, as
-    /// it should.
+    /// The constraint copy is built by replaying the lowered view with the
+    /// data pins as constant literals, so the rewrite rules fold the copy
+    /// down to its key cone before any clause is emitted; a constraint
+    /// contradicting a constant output lands on the always-false constant
+    /// variable and makes the formula UNSAT, as it should.
     pub fn add_io_constraint(&mut self, data: &[bool], response: &[bool]) {
         for copy_ix in 0..2 {
             let key_vars = if copy_ix == 0 { &self.in1 } else { &self.in2 };
-            match self.encoder {
-                EncoderKind::Flat => {
-                    let mut pins: Vec<Option<Var>> = vec![None; self.role.len()];
-                    for &i in &self.key_ix {
-                        pins[i] = Some(key_vars[i]);
+            let mut cone = Aig::new();
+            let mut map = Vec::with_capacity(self.role.len());
+            let mut pinned: Vec<Option<Var>> = Vec::new();
+            let mut di = 0;
+            for (&role, &kv) in self.role.iter().zip(key_vars) {
+                map.push(match role {
+                    Role::Key => {
+                        pinned.push(Some(kv));
+                        cone.add_input()
                     }
-                    let copy = encode_comb_into(&mut self.solver, self.locked, &self.view, &pins);
-                    let mut di = 0;
-                    for i in 0..self.role.len() {
-                        match self.role[i] {
-                            Role::Key => {}
-                            Role::Ignored => {
-                                self.solver.add_clause(&[Lit::neg(copy.input_vars[i])]);
-                            }
-                            Role::Data => {
-                                let lit = Lit::with_sign(copy.input_vars[i], !data[di]);
-                                self.solver.add_clause(&[lit]);
-                                di += 1;
-                            }
+                    Role::Ignored => AigLit::FALSE,
+                    Role::Data => {
+                        let b = data[di];
+                        di += 1;
+                        if b {
+                            AigLit::TRUE
+                        } else {
+                            AigLit::FALSE
                         }
                     }
-                    for (j, &ov) in copy.output_vars.iter().enumerate() {
-                        self.solver.add_clause(&[Lit::with_sign(ov, !response[j])]);
-                    }
-                }
-                EncoderKind::Aig => {
-                    let single = self.aig_single.as_ref().expect("AIG encoder state");
-                    let mut cone = Aig::new();
-                    let mut map = Vec::with_capacity(self.role.len());
-                    let mut pinned: Vec<Option<Var>> = Vec::new();
-                    let mut di = 0;
-                    for (&role, &kv) in self.role.iter().zip(key_vars) {
-                        map.push(match role {
-                            Role::Key => {
-                                pinned.push(Some(kv));
-                                cone.add_input()
-                            }
-                            Role::Ignored => AigLit::FALSE,
-                            Role::Data => {
-                                let b = data[di];
-                                di += 1;
-                                if b {
-                                    AigLit::TRUE
-                                } else {
-                                    AigLit::FALSE
-                                }
-                            }
-                        });
-                    }
-                    for (j, lit) in single.rebuild_into(&mut cone, &map).iter().enumerate() {
-                        cone.mark_output(lit.complement_if(!response[j]));
-                    }
-                    let ports = encode_aig_into(&mut self.solver, &cone, &pinned);
-                    for &out in &ports.output_lits {
-                        self.solver.add_clause(&[out]);
-                    }
-                }
+                });
+            }
+            for (j, lit) in self.single.rebuild_into(&mut cone, &map).iter().enumerate() {
+                cone.mark_output(lit.complement_if(!response[j]));
+            }
+            let ports = encode_aig_into(&mut self.solver, &cone, &pinned);
+            for &out in &ports.output_lits {
+                self.solver.add_clause(&[out]);
             }
         }
     }
@@ -611,8 +517,7 @@ impl<'a> MiterSession<'a> {
     }
 
     /// Current CNF size of the live miter solver as `(variables,
-    /// clauses)` — the bench harness records these per encoder to compare
-    /// flat and AIG miter footprints.
+    /// clauses)`.
     pub fn cnf_size(&self) -> (u64, u64) {
         (
             u64::from(self.solver.num_vars()),
@@ -694,16 +599,6 @@ enum Role {
     Data,
     Key,
     Ignored,
-}
-
-fn encode_xor(solver: &mut Solver, y: Var, a: Var, b: Var) {
-    let (yp, yn) = (Lit::pos(y), Lit::neg(y));
-    let (ap, an) = (Lit::pos(a), Lit::neg(a));
-    let (bp, bn) = (Lit::pos(b), Lit::neg(b));
-    solver.add_clause(&[yn, ap, bp]);
-    solver.add_clause(&[yn, an, bn]);
-    solver.add_clause(&[yp, an, bp]);
-    solver.add_clause(&[yp, ap, bn]);
 }
 
 /// Checks a recovered key by exhaustive or sampled comparison of the locked
@@ -873,56 +768,6 @@ mod tests {
             &mut rng,
         );
         assert_eq!(rate, 1.0);
-    }
-
-    #[test]
-    fn both_encoders_crack_xor_locking_identically() {
-        let nl = test_circuit();
-        let mut rng = StdRng::seed_from_u64(29);
-        let locked = XorLock::new(5).lock(&nl, &mut rng).unwrap();
-        for encoder in [EncoderKind::Flat, EncoderKind::Aig] {
-            let mut attack = SatAttack::new(&locked.netlist, locked.key_inputs.clone(), &nl);
-            attack.encoder = encoder;
-            let result = attack.run();
-            let key = result.key().unwrap_or_else(|| panic!("{encoder} must win"));
-            let rate = key_match_rate(
-                &locked.netlist,
-                &locked.key_inputs,
-                key,
-                &nl,
-                200,
-                &mut StdRng::seed_from_u64(30),
-            );
-            assert_eq!(rate, 1.0, "{encoder} key must be functionally correct");
-        }
-    }
-
-    #[test]
-    fn aig_miter_is_smaller_than_flat() {
-        // On a benchmark-scale netlist strash sharing between the two
-        // miter copies dominates the AIG's XOR inflation; a four-gate toy
-        // would not show the effect.
-        let profile = glitchlock_circuits::profile_by_name("s1238").unwrap();
-        let nl = glitchlock_circuits::generate(&profile);
-        let mut rng = StdRng::seed_from_u64(31);
-        let locked = XorLock::new(8).lock(&nl, &mut rng).unwrap();
-        let size = |encoder| {
-            let session = MiterSession::with_config(
-                &locked.netlist,
-                &locked.key_inputs,
-                &[],
-                &nl,
-                SolverBackend::default(),
-                encoder,
-            );
-            let (v, c) = session.cnf_size();
-            v + c
-        };
-        let (flat, aig) = (size(EncoderKind::Flat), size(EncoderKind::Aig));
-        assert!(
-            (aig as f64) < 0.7 * flat as f64,
-            "strash sharing must shrink the miter by >=30%: flat={flat} aig={aig}"
-        );
     }
 
     #[test]

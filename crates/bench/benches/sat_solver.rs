@@ -1,47 +1,39 @@
-//! CDCL solver benchmarks: the legacy (Luby + activity-reduce) backend
-//! against the modern (glucose-restart + LBD-reduce) backend.
+//! CDCL solver benchmarks for the one solver profile (glucose restarts,
+//! LBD clause-DB reduction, rephasing) and the one CNF encoder.
 //!
-//! Three tiers:
+//! Two tiers:
 //!
 //! * microbenchmarks — random 3-SAT near the phase transition, pigeonhole
-//!   (hard UNSAT), and a benchmark-circuit Tseitin query, each run on both
-//!   backends;
-//! * the attack tier — the full oracle-guided DIP loop against locked
-//!   ISCAS'89 circuits. These miters are propagation-bound (a few thousand
-//!   conflicts spread over fresh per-DIP solves), so the backends stay
-//!   within ~1.3× of each other;
+//!   (hard UNSAT), and a benchmark-circuit encode + query;
 //! * the equivalence tier — bounded equivalence of a locked ISCAS'89 bench
 //!   against its resynthesized (`optimize_sequential`) form, the check the
 //!   workspace runs to validate optimization passes and removal-attack
 //!   reconstructions. A single deep-unrolled UNSAT proof with 10⁴–10⁵
-//!   conflicts: here the modern backend's LBD-aware clause database and
-//!   glucose restarts dominate (≥2× wall on the headline row).
+//!   conflicts — the one solver workload the end-to-end benchmark
+//!   (`perfbench/`) does not run. Its DIP-loop workload covers the
+//!   oracle-guided attack.
 //!
-//! Per row and backend the harness records wall time and conflicts/sec
-//! (from the `sat.*` counters or the solver's own stats), and writes the
-//! comparison to `BENCH_sat.json` at the repository root.
+//! The harness writes both tiers to `BENCH_sat.json` at the repository
+//! root: ns/iteration per microbenchmark, and wall time, conflicts,
+//! propagations and conflicts/sec per equivalence row. Conflict and
+//! propagation counts are exactly reproducible per (seed, depth).
 //!
 //! ```text
 //! cargo bench -p glitchlock-bench --bench sat_solver
 //! ```
 
-use glitchlock_attacks::sat_attack::MiterSession;
-use glitchlock_attacks::SatAttack;
-use glitchlock_bench::harness::{BenchmarkId, Criterion};
+use glitchlock_bench::harness::{BenchmarkId, Criterion, Sample};
 use glitchlock_circuits::{generate, profile_by_name, tiny};
-use glitchlock_core::locking::{AntiSat, LockScheme, Locked, MuxLock, SarLock, XorLock};
-use glitchlock_netlist::{CombView, Netlist};
-use glitchlock_obs::{self as obs, names, Collector};
+use glitchlock_core::locking::{LockScheme, Locked, XorLock};
+use glitchlock_netlist::CombView;
+use glitchlock_obs as obs;
 use glitchlock_sat::equiv::{bounded_equiv_with_stats, EquivResult};
-use glitchlock_sat::{encode_comb, Cnf, EncoderKind, Lit, SatResult, Solver, SolverBackend, Var};
+use glitchlock_sat::{encode_comb_with, Cnf, Lit, SatResult, Solver, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
-
-const BACKENDS: [SolverBackend; 2] = [SolverBackend::Legacy, SolverBackend::Modern];
 
 fn random_3sat(n_vars: u32, n_clauses: usize, seed: u64) -> Cnf {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -82,321 +74,106 @@ fn pigeonhole(n: u32) -> Cnf {
 
 fn bench_micro(c: &mut Criterion) {
     let mut group = c.benchmark_group("sat_solver");
-    for backend in BACKENDS {
-        for &n in &[60u32, 100] {
-            let clauses = (n as f64 * 4.2) as usize;
-            let f = random_3sat(n, clauses, 42);
-            let id = BenchmarkId::new("random_3sat", format!("{backend}_{n}"));
-            group.bench_with_input(id, &f, |b, f| {
-                b.iter(|| {
-                    let mut s = Solver::from_cnf_with(f, backend);
-                    black_box(s.solve())
-                })
-            });
-        }
-        for &n in &[6u32, 7] {
-            let f = pigeonhole(n);
-            let id = BenchmarkId::new("pigeonhole_unsat", format!("{backend}_{n}"));
-            group.bench_with_input(id, &f, |b, f| {
-                b.iter(|| {
-                    let mut s = Solver::from_cnf_with(f, backend);
-                    assert_eq!(s.solve(), SatResult::Unsat);
-                })
-            });
-        }
+    for &n in &[60u32, 100] {
+        let clauses = (n as f64 * 4.2) as usize;
+        let f = random_3sat(n, clauses, 42);
+        group.bench_with_input(BenchmarkId::new("random_3sat", n), &f, |b, f| {
+            b.iter(|| black_box(Solver::from_cnf(f).solve()))
+        });
+    }
+    for &n in &[6u32, 7] {
+        let f = pigeonhole(n);
+        group.bench_with_input(BenchmarkId::new("pigeonhole_unsat", n), &f, |b, f| {
+            b.iter(|| assert_eq!(Solver::from_cnf(f).solve(), SatResult::Unsat))
+        });
     }
     // Encode + query a benchmark-scale circuit.
     let nl = generate(&tiny(5));
     let view = CombView::new(&nl);
-    group.bench_function("tseitin_encode_tiny", |b| {
-        b.iter(|| black_box(encode_comb(&nl, &view)))
+    let encode = || {
+        let mut cnf = Cnf::new();
+        encode_comb_with(&mut cnf, &nl, &view, &[]);
+        cnf
+    };
+    group.bench_function("encode_tiny", |b| b.iter(|| black_box(encode())));
+    let cnf = encode();
+    group.bench_function("circuit_query_tiny", |b| {
+        b.iter(|| black_box(Solver::from_cnf(&cnf).solve()))
     });
-    let enc = encode_comb(&nl, &view);
-    for backend in BACKENDS {
-        group.bench_function(format!("circuit_query_tiny/{backend}"), |b| {
-            b.iter(|| {
-                let mut s = Solver::from_cnf_with(&enc.cnf, backend);
-                black_box(s.solve())
-            })
-        });
-    }
     group.finish();
 }
 
-/// One backend's measurement of a workload run. `iterations` is the DIP
-/// count on attack rows and the unroll depth on equivalence rows.
-struct Side {
+/// One bounded-equivalence measurement. `depth` is the unroll depth.
+struct EquivRow {
+    bench: &'static str,
+    locker: String,
+    key_bits: usize,
+    seed: u64,
     wall_ms: f64,
     conflicts: u64,
     propagations: u64,
     conflicts_per_sec: f64,
-    iterations: usize,
+    depth: usize,
 }
 
-struct Row {
-    workload: &'static str,
-    bench: &'static str,
-    locker: String,
-    key_bits: usize,
-    seed: u64,
-    legacy: Side,
-    modern: Side,
-}
+/// Default lock seed; each equivalence row pins its own because instance
+/// hardness is placement-sensitive.
+const LOCK_SEED: u64 = 0x5a7_0001;
 
-impl Row {
-    fn wall_speedup(&self) -> f64 {
-        self.legacy.wall_ms / self.modern.wall_ms
-    }
-
-    fn cps_speedup(&self) -> f64 {
-        self.modern.conflicts_per_sec / self.legacy.conflicts_per_sec
-    }
-}
-
-/// Lock seed for the DIP-loop tier; the equivalence tier pins a seed per
-/// row because instance hardness (and thus the backend gap) is
-/// placement-sensitive.
-const DIP_SEED: u64 = 0x5a7_0001;
-
-/// Generates a bench profile and locks it with the named scheme.
-fn lock_bench(bench: &'static str, locker: &str, key_bits: usize, seed: u64) -> (Netlist, Locked) {
+/// Generates a bench profile and XOR-locks it with `key_bits` key gates.
+fn lock_bench(bench: &str, key_bits: usize, seed: u64) -> Locked {
     let oracle = generate(&profile_by_name(bench).expect("known profile"));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let lock = |scheme: &dyn LockScheme, rng: &mut StdRng| -> Locked {
-        scheme
-            .lock(&oracle, rng)
-            .expect("bench large enough for the key width")
-    };
-    let locked = match locker {
-        "xor" => lock(&XorLock::new(key_bits), &mut rng),
-        "mux" => lock(&MuxLock::new(key_bits), &mut rng),
-        "sarlock" => lock(&SarLock::new(key_bits), &mut rng),
-        "antisat" => lock(&AntiSat::new(key_bits), &mut rng),
-        other => panic!("unknown locker {other}"),
-    };
-    (oracle, locked)
+    XorLock::new(key_bits)
+        .lock(&oracle, &mut StdRng::seed_from_u64(seed))
+        .expect("bench large enough for the key width")
 }
 
-/// Runs the oracle-guided SAT attack once under a scoped collector and
-/// reports wall time plus the solver's own `sat.*` counters.
-fn run_attack(bench: &'static str, locker: &str, key_bits: usize, backend: SolverBackend) -> Side {
-    let (oracle, locked) = lock_bench(bench, locker, key_bits, DIP_SEED);
-    let collector = Arc::new(Collector::new());
-    let start = Instant::now();
-    let result = obs::scoped(&collector, || {
-        let mut attack = SatAttack::new(&locked.netlist, locked.key_inputs.clone(), &oracle);
-        attack.max_iterations = 4096;
-        attack.backend = backend;
-        attack.run()
-    });
-    let wall = start.elapsed();
-    let registry = collector.registry();
-    let conflicts = registry.counter(names::SAT_CONFLICTS).get();
-    let propagations = registry.counter(names::SAT_PROPAGATIONS).get();
-    Side {
-        wall_ms: wall.as_secs_f64() * 1e3,
-        conflicts,
-        propagations,
-        conflicts_per_sec: conflicts as f64 / wall.as_secs_f64(),
-        iterations: result.iterations,
-    }
-}
-
-/// `GLITCHLOCK_BENCH_SMOKE=1` trims the attack/equiv tiers to one cheap
-/// row each — enough for ci.sh to prove the harness runs end to end
-/// without paying for the conflict-heavy headline instances.
+/// `GLITCHLOCK_BENCH_SMOKE=1` trims the equivalence tier to one cheap
+/// row — enough for ci.sh to prove the harness runs end to end without
+/// paying for the conflict-heavy headline instances.
 fn smoke() -> bool {
     std::env::var("GLITCHLOCK_BENCH_SMOKE").is_ok()
 }
 
-fn bench_dip_loop() -> Vec<Row> {
-    let mut rows = Vec::new();
-    let mut configs = vec![("s1238", "mux", 16)];
-    if !smoke() {
-        configs.extend([
-            ("s1238", "mux", 32),
-            ("s5378", "xor", 32),
-            ("s5378", "mux", 24),
-        ]);
-    }
-    for (bench, locker, key_bits) in configs {
-        let mut sides = Vec::new();
-        for backend in BACKENDS {
-            let side = run_attack(bench, locker, key_bits, backend);
-            println!(
-                "sat_attack/{bench}_{locker}{key_bits}/{backend:<24} {:>10.1} ms \
-                 {:>9} conflicts {:>12.0} conflicts/s ({} DIPs)",
-                side.wall_ms, side.conflicts, side.conflicts_per_sec, side.iterations
-            );
-            sides.push(side);
-        }
-        let modern = sides.pop().expect("two backends");
-        let legacy = sides.pop().expect("two backends");
-        rows.push(Row {
-            workload: "dip-loop",
-            bench,
-            locker: format!("{locker}{key_bits}"),
-            key_bits,
-            seed: DIP_SEED,
-            legacy,
-            modern,
-        });
-    }
-    rows
-}
-
-/// Bounded equivalence of the locked bench against its resynthesized form:
-/// one deep-unrolled UNSAT proof per backend.
-fn run_equiv(locked: &Locked, resynth: &Netlist, depth: usize, backend: SolverBackend) -> Side {
-    let start = Instant::now();
-    let (result, stats) = bounded_equiv_with_stats(&locked.netlist, resynth, depth, backend);
-    let wall = start.elapsed();
-    assert_eq!(
-        result,
-        EquivResult::Equivalent,
-        "resynthesis must preserve the locked function"
-    );
-    Side {
-        wall_ms: wall.as_secs_f64() * 1e3,
-        conflicts: stats.conflicts,
-        propagations: stats.propagations,
-        conflicts_per_sec: stats.conflicts as f64 / wall.as_secs_f64(),
-        iterations: depth,
-    }
-}
-
-fn bench_equiv() -> Vec<Row> {
-    let mut rows = Vec::new();
+/// Bounded equivalence of each locked bench against its resynthesized
+/// form: one deep-unrolled UNSAT proof per row.
+fn bench_equiv() -> Vec<EquivRow> {
     let configs = if smoke() {
-        vec![("s5378", "xor", 32, 2, DIP_SEED)]
+        vec![("s5378", 32, 2, LOCK_SEED)]
     } else {
         vec![
-            ("s1238", "xor", 32, 5, 0x9e0b),
-            ("s1238", "xor", 32, 6, DIP_SEED),
-            ("s5378", "xor", 32, 4, DIP_SEED),
+            ("s1238", 32, 5, 0x9e0b),
+            ("s1238", 32, 6, LOCK_SEED),
+            ("s5378", 32, 4, LOCK_SEED),
         ]
     };
-    for (bench, locker, key_bits, depth, seed) in configs {
-        let (_oracle, locked) = lock_bench(bench, locker, key_bits, seed);
+    let mut rows = Vec::new();
+    for (bench, key_bits, depth, seed) in configs {
+        let locked = lock_bench(bench, key_bits, seed);
         let resynth = glitchlock_synth::optimize_sequential(&locked.netlist)
             .expect("locked bench resynthesizes");
-        let mut sides = Vec::new();
-        for backend in BACKENDS {
-            let side = run_equiv(&locked, &resynth, depth, backend);
-            println!(
-                "sat_equiv/{bench}_{locker}{key_bits}_d{depth}/{backend:<18} {:>10.1} ms \
-                 {:>9} conflicts {:>12.0} conflicts/s (depth {depth})",
-                side.wall_ms, side.conflicts, side.conflicts_per_sec
-            );
-            sides.push(side);
-        }
-        let modern = sides.pop().expect("two backends");
-        let legacy = sides.pop().expect("two backends");
-        rows.push(Row {
-            workload: "equiv-resynth",
+        let start = Instant::now();
+        let (result, stats) = bounded_equiv_with_stats(&locked.netlist, &resynth, depth);
+        let wall = start.elapsed();
+        assert_eq!(
+            result,
+            EquivResult::Equivalent,
+            "resynthesis must preserve the locked function"
+        );
+        let row = EquivRow {
             bench,
-            locker: format!("{locker}{key_bits}"),
+            locker: format!("xor{key_bits}"),
             key_bits,
             seed,
-            legacy,
-            modern,
-        });
-    }
-    rows
-}
-
-/// One encoder's measurement of a miter build: CNF footprint plus the
-/// wall time of the full DIP loop run on that encoding.
-struct EncoderSide {
-    build_ms: f64,
-    attack_ms: f64,
-    vars: u64,
-    clauses: u64,
-    iterations: usize,
-}
-
-struct EncoderRow {
-    bench: &'static str,
-    locker: String,
-    key_bits: usize,
-    seed: u64,
-    flat: EncoderSide,
-    aig: EncoderSide,
-}
-
-impl EncoderRow {
-    /// Fractional vars+clauses reduction of the AIG miter over the flat
-    /// one. The acceptance floor for the benchmark-scale rows is 0.30.
-    fn cnf_reduction(&self) -> f64 {
-        let flat = (self.flat.vars + self.flat.clauses) as f64;
-        let aig = (self.aig.vars + self.aig.clauses) as f64;
-        1.0 - aig / flat
-    }
-}
-
-/// Builds the initial miter with one encoder and measures its CNF
-/// footprint, then runs the full oracle-guided DIP loop on it.
-fn run_encoder(locked: &Locked, oracle: &Netlist, encoder: EncoderKind) -> EncoderSide {
-    let start = Instant::now();
-    let session = MiterSession::with_config(
-        &locked.netlist,
-        &locked.key_inputs,
-        &[],
-        oracle,
-        SolverBackend::default(),
-        encoder,
-    );
-    let build_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (vars, clauses) = session.cnf_size();
-    drop(session);
-    let start = Instant::now();
-    let mut attack = SatAttack::new(&locked.netlist, locked.key_inputs.clone(), oracle);
-    attack.max_iterations = 4096;
-    attack.encoder = encoder;
-    let result = attack.run();
-    EncoderSide {
-        build_ms,
-        attack_ms: start.elapsed().as_secs_f64() * 1e3,
-        vars,
-        clauses,
-        iterations: result.iterations,
-    }
-}
-
-/// The encoder tier: the same locked bench encoded flat vs AIG. The AIG
-/// side must come in at least 30% smaller (vars + clauses) on the
-/// benchmark-scale rows — the reduction the strash + cone extraction buy.
-fn bench_encoders() -> Vec<EncoderRow> {
-    let mut configs = vec![("s1238", "xor", 8)];
-    if !smoke() {
-        configs.push(("s5378", "xor", 8));
-    }
-    let mut rows = Vec::new();
-    for (bench, locker, key_bits) in configs {
-        let (oracle, locked) = lock_bench(bench, locker, key_bits, DIP_SEED);
-        let mut sides = Vec::new();
-        for encoder in [EncoderKind::Flat, EncoderKind::Aig] {
-            let side = run_encoder(&locked, &oracle, encoder);
-            println!(
-                "sat_encoder/{bench}_{locker}{key_bits}/{encoder:<4} build {:>6.1} ms  {:>6} vars {:>6} clauses  attack {:>7.1} ms ({} DIPs)",
-                side.build_ms, side.vars, side.clauses, side.attack_ms, side.iterations
-            );
-            sides.push(side);
-        }
-        let aig = sides.pop().expect("two encoders");
-        let flat = sides.pop().expect("two encoders");
-        let row = EncoderRow {
-            bench,
-            locker: format!("{locker}{key_bits}"),
-            key_bits,
-            seed: DIP_SEED,
-            flat,
-            aig,
+            wall_ms: wall.as_secs_f64() * 1e3,
+            conflicts: stats.conflicts,
+            propagations: stats.propagations,
+            conflicts_per_sec: stats.conflicts as f64 / wall.as_secs_f64(),
+            depth,
         };
-        assert!(
-            row.cnf_reduction() >= 0.30,
-            "{bench}: AIG miter must be >=30% smaller than flat, got {:.1}%",
-            row.cnf_reduction() * 100.0
+        println!(
+            "sat_equiv/{bench}_{}_d{depth} {:>10.1} ms {:>9} conflicts {:>12.0} conflicts/s",
+            row.locker, row.wall_ms, row.conflicts, row.conflicts_per_sec
         );
         rows.push(row);
     }
@@ -404,69 +181,43 @@ fn bench_encoders() -> Vec<EncoderRow> {
 }
 
 /// Hand-rolled JSON emission — the workspace carries no serde.
-fn to_json(rows: &[Row]) -> String {
-    let side = |s: &Side| {
-        format!(
-            "{{\"wall_ms\": {:.1}, \"conflicts\": {}, \"propagations\": {}, \
-             \"conflicts_per_sec\": {:.0}, \"iterations\": {}}}",
-            s.wall_ms, s.conflicts, s.propagations, s.conflicts_per_sec, s.iterations
-        )
-    };
+fn to_json(micro: &[Sample], rows: &[EquivRow]) -> String {
+    let comma = |i: usize, n: usize| if i + 1 < n { "," } else { "" };
     let mut s = String::from(
-        "{\n  \"note\": \"legacy (Luby + activity-reduce) vs modern (glucose-restart + \
-         LBD-reduce) CDCL backend on locked ISCAS'89 benches. dip-loop rows run the \
-         oracle-guided SAT-attack DIP loop (iterations = DIP count); equiv-resynth rows \
-         prove bounded equivalence of the locked bench against its resynthesized form \
-         (iterations = unroll depth), a single conflict-heavy UNSAT solve where the \
-         modern backend's LBD clause database and glucose restarts dominate. Each row \
-         pins its lock seed: instance hardness is placement-sensitive, and conflict \
-         counts are exactly reproducible per (seed, depth, backend). \
-         cargo bench -p glitchlock-bench --bench sat_solver\",\n  \
-         \"results\": [\n",
+        "{\n  \"note\": \"CDCL solver (glucose restarts, LBD clause-DB reduction, \
+         rephasing) on the AIG CNF encoder. micro rows: mean ns per solve (or encode) \
+         over the measured window. equiv-resynth rows prove bounded equivalence of a \
+         locked ISCAS'89 bench against its resynthesized form (iterations = unroll \
+         depth), a single conflict-heavy UNSAT solve; each pins its lock seed, and \
+         conflict/propagation counts are exactly reproducible per (seed, depth). The \
+         oracle-guided DIP loop is measured end to end by perfbench (dip-loop). \
+         cargo bench -p glitchlock-bench --bench sat_solver\",\n  \"micro\": [\n",
     );
-    for (i, r) in rows.iter().enumerate() {
+    for (i, m) in micro.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"bench\": \"{}\", \"locker\": \"{}\", \
-             \"key_bits\": {}, \"seed\": \"{:#x}\", \
-             \"legacy\": {}, \"modern\": {}, \"wall_speedup\": {:.1}, \
-             \"conflicts_per_sec_speedup\": {:.1}}}{}\n",
-            r.workload,
-            r.bench,
-            r.locker,
-            r.key_bits,
-            r.seed,
-            side(&r.legacy),
-            side(&r.modern),
-            r.wall_speedup(),
-            r.cps_speedup(),
-            if i + 1 < rows.len() { "," } else { "" }
+            "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}}}{}\n",
+            m.id,
+            m.ns_per_iter,
+            m.iters,
+            comma(i, micro.len())
         ));
     }
-    s.push_str("  ],\n");
-    s
-}
-
-/// Appends the encoder-tier comparison to the JSON document opened by
-/// [`to_json`].
-fn encoder_json(rows: &[EncoderRow]) -> String {
-    let side = |s: &EncoderSide| {
-        format!(
-            "{{\"build_ms\": {:.1}, \"attack_ms\": {:.1}, \"miter_vars\": {},              \"miter_clauses\": {}, \"iterations\": {}}}",
-            s.build_ms, s.attack_ms, s.vars, s.clauses, s.iterations
-        )
-    };
-    let mut s = String::from("  \"encoders\": [\n");
+    s.push_str("  ],\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"locker\": \"{}\", \"key_bits\": {},              \"seed\": \"{:#x}\", \"flat\": {}, \"aig\": {},              \"cnf_reduction\": {:.3}}}{}\n",
+            "    {{\"workload\": \"equiv-resynth\", \"bench\": \"{}\", \"locker\": \"{}\", \
+             \"key_bits\": {}, \"seed\": \"{:#x}\", \"wall_ms\": {:.1}, \"conflicts\": {}, \
+             \"propagations\": {}, \"conflicts_per_sec\": {:.0}, \"iterations\": {}}}{}\n",
             r.bench,
             r.locker,
             r.key_bits,
             r.seed,
-            side(&r.flat),
-            side(&r.aig),
-            r.cnf_reduction(),
-            if i + 1 < rows.len() { "," } else { "" }
+            r.wall_ms,
+            r.conflicts,
+            r.propagations,
+            r.conflicts_per_sec,
+            r.depth,
+            comma(i, rows.len())
         ));
     }
     s.push_str("  ]\n}\n");
@@ -477,30 +228,8 @@ fn main() {
     let mut c = Criterion::new();
     bench_micro(&mut c);
     println!();
-    let mut rows = bench_dip_loop();
-    println!();
-    rows.extend(bench_equiv());
-    println!();
-    let encoder_rows = bench_encoders();
-    for r in &rows {
-        println!(
-            "  {} {}/{}: wall {:.1}x, conflicts/sec {:.1}x (modern over legacy)",
-            r.workload,
-            r.bench,
-            r.locker,
-            r.wall_speedup(),
-            r.cps_speedup()
-        );
-    }
-    for r in &encoder_rows {
-        println!(
-            "  encoder {}/{}: AIG miter {:.1}% smaller than flat (vars+clauses)",
-            r.bench,
-            r.locker,
-            r.cnf_reduction() * 100.0
-        );
-    }
-    let json = format!("{}{}", to_json(&rows), encoder_json(&encoder_rows));
+    let rows = bench_equiv();
+    let json = to_json(c.samples(), &rows);
     // Snapshot next to the workspace manifest (crates/bench -> repo root).
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root.join("BENCH_sat.json");

@@ -20,7 +20,7 @@
 
 use crate::xor::{draw_rows, encode_row_into};
 use glitchlock_obs::{self as obs, names};
-use glitchlock_sat::{CnfSink, IncrementalSolver, Lit, SatResult, Var};
+use glitchlock_sat::{Lit, SatResult, Solver, Var};
 use rand::rngs::StdRng;
 
 /// The `(ε, δ)` knobs of one approximate count.
@@ -90,8 +90,8 @@ pub struct ApproxCount {
 /// Enumerates projected solutions under `assumptions`, stopping once the
 /// count exceeds `limit` (returns `limit + 1` to mean "more"). Blocking
 /// clauses ride a fresh guard variable retired on exit.
-fn enumerate_cells<S: IncrementalSolver>(
-    solver: &mut S,
+fn enumerate_cells(
+    solver: &mut Solver,
     assumptions: &[Lit],
     projection: &[Var],
     limit: u64,
@@ -131,11 +131,10 @@ fn enumerate_cells<S: IncrementalSolver>(
 /// model of the solver's formula under `base` assumptions.
 ///
 /// All randomness comes from `rng`; identical seeds give identical
-/// estimates regardless of solver backend or CNF encoder, because rows
-/// are drawn over projection positions and cell counts are exact
-/// enumerations.
-pub fn approx_count<S: IncrementalSolver + CnfSink>(
-    solver: &mut S,
+/// estimates, because rows are drawn over projection positions and cell
+/// counts are exact enumerations.
+pub fn approx_count(
+    solver: &mut Solver,
     base: &[Lit],
     projection: &[Var],
     params: &CountParams,
@@ -223,7 +222,6 @@ pub fn approx_count<S: IncrementalSolver + CnfSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glitchlock_sat::{Solver, SolverBackend};
     use rand::SeedableRng;
 
     fn free_vars(solver: &mut Solver, n: usize) -> Vec<Var> {
@@ -342,18 +340,15 @@ mod tests {
     }
 
     #[test]
-    fn estimates_are_deterministic_and_backend_independent() {
-        let build = |backend: SolverBackend| {
-            let mut solver = Solver::with_backend(backend);
+    fn estimates_are_deterministic() {
+        let build = || {
+            let mut solver = Solver::new();
             let vars = free_vars(&mut solver, 9);
             solver.add_clause(&[Lit::pos(vars[0]), Lit::pos(vars[1])]);
             let mut rng = StdRng::seed_from_u64(5);
             approx_count(&mut solver, &[], &vars, &CountParams::default(), &mut rng).estimate
         };
-        let legacy = build(SolverBackend::Legacy);
-        let modern = build(SolverBackend::Modern);
-        assert_eq!(legacy, modern);
-        assert_eq!(modern, build(SolverBackend::Modern));
+        assert_eq!(build(), build());
     }
 
     #[test]

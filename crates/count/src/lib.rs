@@ -31,7 +31,7 @@
 //!
 //! [`scores::corruption_scores`] dispatches between them (both run below
 //! the exact cutoff, so every estimate is cross-checked for free), builds
-//! the miters through the same [`glitchlock_sat::EncoderKind`] machinery
+//! the miters through the same encoder ([`glitchlock_sat::encode_comb_with`])
 //! as the SAT attack, and prunes with the dataflow refined key-taint
 //! bitsets: untainted view outputs leave the DIP miter, untainted key
 //! bits leave the wrong-key projection with an exact `2^dead` multiplier.
@@ -40,7 +40,7 @@
 //! from a [`rand::rngs::StdRng`] seeded by the caller — campaign runs key
 //! it on the spec fingerprint — and hash rows are drawn over projection
 //! *positions*, never solver variable ids, so estimates are bit-identical
-//! across worker counts, shards, resume, solver backends, and encoders.
+//! across worker counts, shards, and resume.
 
 #![deny(missing_docs)]
 

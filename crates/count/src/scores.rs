@@ -1,7 +1,7 @@
 //! The three corruption scores of a locked design, exact and estimated.
 //!
 //! Each score is a projected model count over a miter CNF built through
-//! the same [`EncoderKind`] machinery as the SAT attack:
+//! the same encoder ([`encode_comb_with`]) as the SAT attack:
 //!
 //! * **err** — one view copy against the oracle, data inputs shared, key
 //!   inputs pinned (by assumption) to a sampled key; projected onto the
@@ -35,7 +35,7 @@ use crate::view::KeyedView;
 use glitchlock_dataflow::{const_facts, taint_facts, TaintMode, ValueNumbering};
 use glitchlock_netlist::{CombView, NetId, Netlist};
 use glitchlock_obs::{self as obs, names};
-use glitchlock_sat::{encode_comb_with, EncoderKind, Lit, Solver, SolverBackend, Var};
+use glitchlock_sat::{encode_comb_with, Lit, Solver, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,10 +53,6 @@ pub struct ScoreConfig {
     /// Run the estimator at or below this many data+key bits; beyond it
     /// the design is skipped.
     pub max_bits: usize,
-    /// CDCL backend for the hash-count sessions.
-    pub solver: SolverBackend,
-    /// CNF encoder for the miters.
-    pub encoder: EncoderKind,
     /// Root seed for the sampled key and all hash draws. Campaigns derive
     /// it from the spec fingerprint so estimates survive re-sharding.
     pub seed: u64,
@@ -69,8 +65,6 @@ impl Default for ScoreConfig {
             delta: 0.2,
             exact_bits: 20,
             max_bits: 24,
-            solver: SolverBackend::default(),
-            encoder: EncoderKind::default(),
             seed: 1,
         }
     }
@@ -288,14 +282,14 @@ fn estimate_scores(
 
     // Session A: view vs oracle, data shared, keys free. Serves err (key
     // pinned by assumptions) and wrong-keys (keys free) on one solver.
-    let mut solver = Solver::with_backend(cfg.solver);
-    let vio = encode_comb_with(&mut solver, locked, &kv.view, &[], cfg.encoder);
+    let mut solver = Solver::new();
+    let vio = encode_comb_with(&mut solver, locked, &kv.view, &[]);
     let pinned: Vec<Option<Var>> = kv
         .data_ix
         .iter()
         .map(|&p| Some(vio.input_vars[p]))
         .collect();
-    let oio = encode_comb_with(&mut solver, oracle, oview, &pinned, cfg.encoder);
+    let oio = encode_comb_with(&mut solver, oracle, oview, &pinned);
     let pairs: Vec<(Var, Var)> = vio
         .output_vars
         .iter()
@@ -354,13 +348,13 @@ fn estimate_scores(
         }
         return;
     }
-    let mut solver = Solver::with_backend(cfg.solver);
-    let one = encode_comb_with(&mut solver, locked, &kv.view, &[], cfg.encoder);
+    let mut solver = Solver::new();
+    let one = encode_comb_with(&mut solver, locked, &kv.view, &[]);
     let mut pinned: Vec<Option<Var>> = vec![None; kv.view.num_inputs()];
     for &p in &kv.data_ix {
         pinned[p] = Some(one.input_vars[p]);
     }
-    let two = encode_comb_with(&mut solver, locked, &kv.view, &pinned, cfg.encoder);
+    let two = encode_comb_with(&mut solver, locked, &kv.view, &pinned);
     let pairs: Vec<(Var, Var)> = tainted_outputs
         .iter()
         .map(|&oi| (one.output_vars[oi], two.output_vars[oi]))
@@ -443,26 +437,6 @@ mod tests {
         assert_eq!(s.err.estimate, Some(0.0));
         assert_eq!(s.dip.estimate, Some(0.0));
         assert_eq!(s.wrong_keys.estimate, Some(0.0));
-    }
-
-    #[test]
-    fn encoders_and_backends_produce_identical_scores() {
-        let oracle = oracle_and();
-        let (locked, keys) = xor_locked();
-        let mut all = Vec::new();
-        for solver in [SolverBackend::Legacy, SolverBackend::Modern] {
-            for encoder in [EncoderKind::Flat, EncoderKind::Aig] {
-                let cfg = ScoreConfig {
-                    solver,
-                    encoder,
-                    ..ScoreConfig::default()
-                };
-                all.push(corruption_scores(&locked, &keys, &oracle, &cfg).unwrap());
-            }
-        }
-        for s in &all[1..] {
-            assert_eq!(s, &all[0]);
-        }
     }
 
     #[test]

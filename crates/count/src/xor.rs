@@ -5,8 +5,8 @@
 //! independently with probability ½ and demands a random parity of the
 //! picked bits. Rows are drawn over projection *positions* — indices into
 //! the caller's variable list, never solver [`Var`] ids — so identical
-//! seeds give identical rows no matter which backend or encoder built
-//! the CNF underneath.
+//! seeds give identical rows no matter how the CNF underneath was
+//! built.
 //!
 //! Encoding: the XOR chain is lowered through fresh auxiliary variables
 //! (`tᵢ ↔ tᵢ₋₁ ⊕ xᵢ`, four clauses each). The chain definitions are
@@ -86,7 +86,7 @@ pub fn encode_row_into<S: CnfSink>(sink: &mut S, vars: &[Var], row: &ParityRow, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glitchlock_sat::{dimacs, Cnf, SatResult, Solver, SolverBackend};
+    use glitchlock_sat::{dimacs, Cnf, SatResult, Solver};
     use rand::SeedableRng;
 
     fn base_vars(solver: &mut Solver, n: usize) -> Vec<Var> {
@@ -218,28 +218,6 @@ mod tests {
         let parsed = dimacs::parse(&text).expect("round trip");
         assert_eq!(parsed.num_vars(), cnf.num_vars());
         assert_eq!(parsed.clauses(), cnf.clauses());
-    }
-
-    #[test]
-    fn legacy_and_modern_backends_agree_on_hashed_instances() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for round in 0..10 {
-            // A base formula with structure (an OR over the vars) plus
-            // random parity rows; both backends must agree per assignment
-            // prefix and on overall satisfiability.
-            let rows = draw_rows(5, 3, &mut rng);
-            let mut verdicts = Vec::new();
-            for backend in [SolverBackend::Legacy, SolverBackend::Modern] {
-                let mut solver = Solver::with_backend(backend);
-                let vars = base_vars(&mut solver, 5);
-                solver.add_clause(&pin(&vars, 0b10110));
-                for row in &rows {
-                    encode_row_into(&mut solver, &vars, row, None);
-                }
-                verdicts.push(solver.solve());
-            }
-            assert_eq!(verdicts[0], verdicts[1], "round {round}");
-        }
     }
 
     #[test]

@@ -9,8 +9,6 @@
 
 use crate::materialize::{LockOutcome, TestCase};
 use crate::reference::{Inject, RefMachine};
-use glitchlock_attacks::sat_attack::key_match_rate;
-use glitchlock_attacks::{SatAttack, SatOutcome};
 use glitchlock_core::insertion::timed_trace;
 use glitchlock_core::{KeyVector, Locked};
 use glitchlock_lint::{Level, LintContext, LintRunner};
@@ -79,11 +77,6 @@ pub fn registry() -> Vec<Referee> {
             name: "sat-equiv",
             about: "correct-key locked design is SAT-equivalent to the oracle",
             run: sat_equiv,
-        },
-        Referee {
-            name: "sat-backend-equiv",
-            about: "legacy and modern CDCL backends agree on the SAT-attack outcome",
-            run: sat_backend_equiv,
         },
         Referee {
             name: "wrong-key",
@@ -378,88 +371,6 @@ fn sat_equiv(ctx: &RefereeCtx<'_>) -> Verdict {
         LockOutcome::Gk(_) => Verdict::Skip(
             "GK correct key lives in the timing domain; zero-delay BMC does not apply".into(),
         ),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// sat-backend-equiv
-// ---------------------------------------------------------------------------
-
-/// Classifies one backend's attack result the way `glk campaign` does.
-/// `None` means the run hit its iteration budget — budget-dependent, so
-/// not comparable across backends (they spend conflicts differently).
-fn classify_attack(
-    view: &Netlist,
-    key_inputs: &[NetId],
-    oracle: &Netlist,
-    result: &glitchlock_attacks::SatAttackResult,
-    sample_seed: u64,
-) -> Option<String> {
-    const PERFECT: f64 = 0.999_999;
-    let mut rng = StdRng::seed_from_u64(sample_seed);
-    let rate_of =
-        |key: &[bool], rng: &mut StdRng| key_match_rate(view, key_inputs, key, oracle, 256, rng);
-    Some(match &result.outcome {
-        SatOutcome::KeyRecovered { key } => {
-            if rate_of(key, &mut rng) >= PERFECT {
-                "key-recovered".to_string()
-            } else {
-                "key-recovered-wrong".to_string()
-            }
-        }
-        SatOutcome::NoDipAtFirstIteration { arbitrary_key } => {
-            if rate_of(arbitrary_key, &mut rng) >= PERFECT {
-                "statically-transparent".to_string()
-            } else {
-                "wrong-key-under-static-abstraction".to_string()
-            }
-        }
-        SatOutcome::IterationLimit => return None,
-        SatOutcome::Cancelled => return None,
-    })
-}
-
-/// Runs the full SAT attack once per CDCL backend and demands the same
-/// outcome class from both. Recovered keys may legitimately differ when
-/// the locker admits several correct keys, so the comparison is on the
-/// classified verdict (which folds in a sampled functional check with a
-/// shared RNG seed), not the key bits.
-fn sat_backend_equiv(ctx: &RefereeCtx<'_>) -> Verdict {
-    use glitchlock_sat::SolverBackend;
-    let (view, key_inputs): (&Netlist, &[NetId]) = match &ctx.case.lock {
-        LockOutcome::Static(l) => (&l.netlist, &l.key_inputs),
-        LockOutcome::Gk(g) => (&g.attack_view, &g.attack_key_inputs),
-        LockOutcome::Unlocked | LockOutcome::Skipped { .. } => {
-            return Verdict::Skip("no locked view to attack".into())
-        }
-    };
-    let oracle = &ctx.case.netlist;
-    let sample_seed = ctx.case.recipe.seed ^ 0xbacbac;
-    let mut verdicts = Vec::new();
-    for backend in [SolverBackend::Legacy, SolverBackend::Modern] {
-        let mut attack = SatAttack::new(view, key_inputs.to_vec(), oracle);
-        attack.max_iterations = 64;
-        attack.backend = backend;
-        let result = attack.run();
-        match classify_attack(view, key_inputs, oracle, &result, sample_seed) {
-            Some(v) => verdicts.push((backend, v, result.iterations)),
-            None => {
-                return Verdict::Skip(format!(
-                    "{backend} backend hit the iteration budget; outcome is \
-                     budget-dependent"
-                ))
-            }
-        }
-    }
-    let (_, ref legacy, legacy_iters) = verdicts[0];
-    let (_, ref modern, modern_iters) = verdicts[1];
-    if legacy == modern {
-        Verdict::Pass
-    } else {
-        Verdict::Fail(format!(
-            "backend verdicts diverge: legacy={legacy} ({legacy_iters} DIPs) \
-             modern={modern} ({modern_iters} DIPs)"
-        ))
     }
 }
 

@@ -75,8 +75,6 @@ pub fn corruption_rows(spec: &CampaignSpec) -> Vec<CorruptionRow> {
                 delta: directive.delta,
                 exact_bits: directive.exact_bits,
                 max_bits: directive.max_bits,
-                solver: spec.solver,
-                encoder: spec.encoder,
                 seed,
             };
             match score_cell(bench, locker, width, seed, &cfg) {

@@ -28,13 +28,12 @@ use glitchlock_attacks::{
     },
     sat_attack::key_match_rate,
     scan::{scan_hypothesis_attack, GkResolution},
-    seq_sat::{seq_sat_attack_with_config, SeqSatOutcome},
+    seq_sat::{seq_sat_attack_with_cancel, SeqSatOutcome},
     CancelToken, SatAttack, SatOutcome,
 };
 use glitchlock_core::locking::{AntiSat, LockScheme, MuxLock, SarLock, Tdk, XorLock};
 use glitchlock_core::GkEncryptor;
 use glitchlock_netlist::{NetId, Netlist};
-use glitchlock_sat::{EncoderKind, SolverBackend};
 use glitchlock_sta::ClockModel;
 use glitchlock_stdcell::{Library, Ps};
 use rand::rngs::StdRng;
@@ -166,10 +165,6 @@ pub struct Tuning {
     pub max_iterations: usize,
     /// Sample count for skew scans and key-verification probes.
     pub samples: usize,
-    /// CDCL backend for the SAT-based attacks.
-    pub solver: SolverBackend,
-    /// CNF encoder behind the SAT-based attacks.
-    pub encoder: EncoderKind,
 }
 
 /// Resolves a benchmark name: the embedded ISCAS circuits by name, then
@@ -238,8 +233,6 @@ pub fn execute(job: &JobSpec, tuning: &Tuning, cancel: &CancelToken) -> JobRecor
         AttackKind::Sat => {
             let mut attack = SatAttack::new(&view, key_inputs.clone(), &oracle);
             attack.max_iterations = tuning.max_iterations;
-            attack.backend = tuning.solver;
-            attack.encoder = tuning.encoder;
             attack.cancel = Some(cancel.clone());
             let result = attack.run();
             record.iterations = result.iterations as u64;
@@ -286,8 +279,6 @@ pub fn execute(job: &JobSpec, tuning: &Tuning, cancel: &CancelToken) -> JobRecor
         AttackKind::AppSat => {
             let cfg = AppSat {
                 max_iterations: tuning.max_iterations,
-                backend: tuning.solver,
-                encoder: tuning.encoder,
                 ..AppSat::default()
             };
             let result = cfg.run_with_cancel(&view, &key_inputs, &oracle, &mut rng, Some(cancel));
@@ -309,15 +300,13 @@ pub fn execute(job: &JobSpec, tuning: &Tuning, cancel: &CancelToken) -> JobRecor
             }
         }
         AttackKind::SeqSat => {
-            let result = seq_sat_attack_with_config(
+            let result = seq_sat_attack_with_cancel(
                 &view,
                 &key_inputs,
                 &oracle,
                 3,
                 tuning.max_iterations,
                 Some(cancel),
-                tuning.solver,
-                tuning.encoder,
             );
             record.iterations = result.iterations as u64;
             record.verdict = match result.outcome {
@@ -531,8 +520,6 @@ mod tests {
         Tuning {
             max_iterations: 64,
             samples: 256,
-            solver: SolverBackend::default(),
-            encoder: EncoderKind::default(),
         }
     }
 

@@ -13,8 +13,6 @@
 //! timeout-secs 60
 //! max-iters 64
 //! samples 512
-//! solver modern
-//! encoder aig
 //! count 0.8 0.2 24 20
 //! ```
 //!
@@ -23,7 +21,6 @@
 //! stores it and `--resume` refuses to mix records across specs.
 
 use crate::job::{AttackKind, JobSpec, LockerKind};
-use glitchlock_sat::{EncoderKind, SolverBackend};
 
 /// FNV-1a over a string, the workspace's stock stable hash. Used for the
 /// spec fingerprint and for deriving per-job RNG seeds from job ids.
@@ -38,7 +35,7 @@ pub fn fnv1a64(text: &str) -> u64 {
 
 /// Tuning for the optional corruptibility-counting pass: the `count
 /// <epsilon> <delta> <max-bits> <exact-bits>` directive. Fingerprint
-/// relevant, like `solver`/`encoder`.
+/// relevant.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CountDirective {
     /// Estimator multiplicative tolerance.
@@ -70,10 +67,6 @@ pub struct CampaignSpec {
     pub max_iterations: usize,
     /// Sample count for skew scans and key-verification probes.
     pub samples: usize,
-    /// CDCL backend driving every SAT-based attack in the campaign.
-    pub solver: SolverBackend,
-    /// CNF encoder behind every SAT-based attack (`flat` or `aig`).
-    pub encoder: EncoderKind,
     /// When set, the report gains corruptibility columns (err/dip/W)
     /// computed by `glitchlock_count` at render time.
     pub count: Option<CountDirective>,
@@ -90,8 +83,6 @@ impl Default for CampaignSpec {
             retries: 1,
             max_iterations: 512,
             samples: 1024,
-            solver: SolverBackend::default(),
-            encoder: EncoderKind::default(),
             count: None,
         }
     }
@@ -186,20 +177,6 @@ impl CampaignSpec {
                     };
                     spec.samples = v.parse().map_err(|_| at(format!("bad samples `{v}`")))?;
                 }
-                "encoder" => {
-                    let [v] = args[..] else {
-                        return Err(at("encoder takes one value (`flat` or `aig`)".into()));
-                    };
-                    spec.encoder = EncoderKind::parse(v)
-                        .ok_or_else(|| at(format!("unknown encoder `{v}`")))?;
-                }
-                "solver" => {
-                    let [v] = args[..] else {
-                        return Err(at("solver takes one value (`legacy` or `modern`)".into()));
-                    };
-                    spec.solver = SolverBackend::parse(v)
-                        .ok_or_else(|| at(format!("unknown solver backend `{v}`")))?;
-                }
                 "count" => {
                     let [eps, delta, max_bits, exact_bits] = args[..] else {
                         return Err(at(
@@ -266,8 +243,6 @@ impl CampaignSpec {
         let _ = writeln!(out, "retries {}", self.retries);
         let _ = writeln!(out, "max-iters {}", self.max_iterations);
         let _ = writeln!(out, "samples {}", self.samples);
-        let _ = writeln!(out, "solver {}", self.solver.tag());
-        let _ = writeln!(out, "encoder {}", self.encoder.tag());
         if let Some(c) = &self.count {
             let _ = writeln!(
                 out,
@@ -360,33 +335,14 @@ samples 512\n";
     }
 
     #[test]
-    fn solver_directive_selects_the_backend() {
+    fn retired_solver_and_encoder_directives_are_unknown() {
         let base = "bench s27\nlocker xor 4\nattack sat\n";
-        let spec = CampaignSpec::parse(base).unwrap();
-        assert_eq!(spec.solver, SolverBackend::Modern, "modern is the default");
-        let legacy = CampaignSpec::parse(&format!("{base}solver legacy\n")).unwrap();
-        assert_eq!(legacy.solver, SolverBackend::Legacy);
-        assert_ne!(spec.hash(), legacy.hash(), "backend is part of the matrix");
-        let rendered = legacy.render();
-        assert!(rendered.contains("solver legacy\n"));
-        assert_eq!(CampaignSpec::parse(&rendered).unwrap(), legacy);
-        assert!(CampaignSpec::parse(&format!("{base}solver warp\n")).is_err());
-        assert!(CampaignSpec::parse(&format!("{base}solver\n")).is_err());
-    }
-
-    #[test]
-    fn encoder_directive_selects_the_encoder() {
-        let base = "bench s27\nlocker xor 4\nattack sat\n";
-        let spec = CampaignSpec::parse(base).unwrap();
-        assert_eq!(spec.encoder, EncoderKind::Aig, "aig is the default");
-        let flat = CampaignSpec::parse(&format!("{base}encoder flat\n")).unwrap();
-        assert_eq!(flat.encoder, EncoderKind::Flat);
-        assert_ne!(spec.hash(), flat.hash(), "encoder is part of the matrix");
-        let rendered = flat.render();
-        assert!(rendered.contains("encoder flat\n"));
-        assert_eq!(CampaignSpec::parse(&rendered).unwrap(), flat);
-        assert!(CampaignSpec::parse(&format!("{base}encoder warp\n")).is_err());
-        assert!(CampaignSpec::parse(&format!("{base}encoder\n")).is_err());
+        for (line, word) in [("solver legacy", "solver"), ("encoder aig", "encoder")] {
+            let err = CampaignSpec::parse(&format!("{base}{line}\n")).unwrap_err();
+            assert_eq!(err, format!("spec line 4: unknown directive `{word}`"));
+        }
+        let rendered = CampaignSpec::parse(base).unwrap().render();
+        assert!(!rendered.contains("solver") && !rendered.contains("encoder"));
     }
 
     #[test]

@@ -1,54 +1,55 @@
-//! Encoder selection: flat Tseitin over the netlist vs AIG-based encoding.
+//! Netlist → CNF: the combinational view is lowered into a strashed
+//! And-Inverter Graph ([`Aig`]) and then encoded with exactly one
+//! 3-clause Tseitin gate per AND node. Inverters are free (complemented
+//! edges), structurally identical logic is emitted once, and cones that a
+//! miter does not need can be dropped before any clause exists.
 //!
-//! The flat encoder ([`crate::encode_comb_into`]) walks the netlist
-//! directly, one variable per net and per-gate clause shapes. The AIG
-//! encoder first lowers the combinational view into a strashed
-//! And-Inverter Graph ([`Aig`]) and then emits exactly one 3-clause gate
-//! per AND node — inverters are free (complemented edges), structurally
-//! identical logic is emitted once, and cones that a miter does not need
-//! can be dropped before any clause exists. On the SAT-attack miter
-//! workload this cuts variables and clauses substantially (see
-//! `BENCH_sat.json`'s encoder rows), which is why [`EncoderKind::Aig`] is
-//! the default.
+//! This is the view a netlist-level SAT attack works on — and the reason
+//! the glitch key-gate defeats it: primary inputs and flip-flop Q pins
+//! become free variables, so the GK's output is key-independent in this
+//! static view and the attack's miter can never differ (paper Sec. V-A).
 
-use crate::tseitin::{encode_comb_into, CnfSink};
-use crate::{Lit, Var};
+use crate::{Cnf, Lit, Solver, Var};
 use glitchlock_netlist::{Aig, AigNode, CombView, Netlist};
 
-/// Which netlist→CNF encoding strategy an attack or equivalence check
-/// uses. Selected by `--encoder` and the campaign-spec `encoder`
-/// directive (fingerprinted, like `solver`).
+/// The CNF encoding the SAT-based attacks and checks use, as a type.
+///
+/// There is one: the strashed AIG encoding of this module. The type keeps
+/// callers that spell out a full miter configuration (see
+/// `MiterSession::with_config` in `glitchlock-attacks`) compiling; nothing
+/// branches on it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EncoderKind {
-    /// Direct Tseitin over the gate-level netlist, one variable per net.
-    Flat,
     /// Strash-deduplicated And-Inverter Graph, 3 clauses per AND node.
     #[default]
     Aig,
 }
 
-impl EncoderKind {
-    /// Parses an encoder name as used by `--encoder` and campaign specs.
-    pub fn parse(s: &str) -> Option<EncoderKind> {
-        match s {
-            "flat" => Some(EncoderKind::Flat),
-            "aig" => Some(EncoderKind::Aig),
-            _ => None,
-        }
-    }
+/// A clause consumer: both [`Cnf`] (standalone formulas) and [`Solver`]
+/// (incremental encoding, as the SAT attack's DIP loop needs) accept
+/// encoder output.
+pub trait CnfSink {
+    /// Allocates a fresh variable.
+    fn fresh_var(&mut self) -> Var;
+    /// Adds a clause.
+    fn clause(&mut self, lits: &[Lit]);
+}
 
-    /// Canonical name, the inverse of [`EncoderKind::parse`].
-    pub fn tag(self) -> &'static str {
-        match self {
-            EncoderKind::Flat => "flat",
-            EncoderKind::Aig => "aig",
-        }
+impl CnfSink for Cnf {
+    fn fresh_var(&mut self) -> Var {
+        self.new_var()
+    }
+    fn clause(&mut self, lits: &[Lit]) {
+        self.add_clause(lits);
     }
 }
 
-impl std::fmt::Display for EncoderKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.tag())
+impl CnfSink for Solver {
+    fn fresh_var(&mut self) -> Var {
+        self.new_var()
+    }
+    fn clause(&mut self, lits: &[Lit]) {
+        self.add_clause(lits);
     }
 }
 
@@ -134,8 +135,7 @@ pub fn encode_aig_into<S: CnfSink>(sink: &mut S, aig: &Aig, pinned: &[Option<Var
     }
 }
 
-/// Port variables of one combinational-view encoding, independent of the
-/// encoder that produced it.
+/// Port variables of one combinational-view encoding.
 #[derive(Clone, Debug)]
 pub struct EncodedIo {
     /// Variables of the view's inputs, in view order.
@@ -144,9 +144,11 @@ pub struct EncodedIo {
     pub output_vars: Vec<Var>,
 }
 
-/// Encodes a fresh copy of the combinational view through the selected
-/// encoder. `pinned` pre-assigns variables for a prefix of the view
-/// inputs, exactly as in [`encode_comb_into`].
+/// Encodes a fresh copy of the combinational view into any [`CnfSink`]
+/// (e.g. directly into a [`Solver`] mid-attack). `pinned` may pre-assign
+/// variables for a prefix of the view inputs — the mechanism the SAT
+/// attack uses to share the data-input variables between its two circuit
+/// copies while keeping the key variables independent.
 ///
 /// # Panics
 ///
@@ -156,32 +158,20 @@ pub fn encode_comb_with<S: CnfSink>(
     netlist: &Netlist,
     view: &CombView,
     pinned: &[Option<Var>],
-    encoder: EncoderKind,
 ) -> EncodedIo {
-    match encoder {
-        EncoderKind::Flat => {
-            let ports = encode_comb_into(sink, netlist, view, pinned);
-            EncodedIo {
-                input_vars: ports.input_vars,
-                output_vars: ports.output_vars,
-            }
-        }
-        EncoderKind::Aig => {
-            let aig = Aig::from_comb(netlist, view);
-            let ports = encode_aig_into(sink, &aig, pinned);
-            let output_vars = ports.output_vars(sink);
-            EncodedIo {
-                input_vars: ports.input_vars,
-                output_vars,
-            }
-        }
+    let aig = Aig::from_comb(netlist, view);
+    let ports = encode_aig_into(sink, &aig, pinned);
+    let output_vars = ports.output_vars(sink);
+    EncodedIo {
+        input_vars: ports.input_vars,
+        output_vars,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SatResult, Solver};
+    use crate::SatResult;
     use glitchlock_netlist::{GateKind, Logic};
 
     fn sample() -> Netlist {
@@ -197,40 +187,109 @@ mod tests {
         nl
     }
 
-    #[test]
-    fn parse_and_tag_round_trip() {
-        for e in [EncoderKind::Flat, EncoderKind::Aig] {
-            assert_eq!(EncoderKind::parse(e.tag()), Some(e));
-            assert_eq!(format!("{e}"), e.tag());
+    fn full_adder() -> Netlist {
+        let mut nl = Netlist::new("fa");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let cin = nl.add_input("cin");
+        let axb = nl.add_gate(GateKind::Xor, &[a, b]).unwrap();
+        let s = nl.add_gate(GateKind::Xor, &[axb, cin]).unwrap();
+        let t1 = nl.add_gate(GateKind::Nand, &[a, b]).unwrap();
+        let t2 = nl.add_gate(GateKind::Nand, &[axb, cin]).unwrap();
+        let cout = nl.add_gate(GateKind::Nand, &[t1, t2]).unwrap();
+        nl.mark_output(s, "sum");
+        nl.mark_output(cout, "cout");
+        nl
+    }
+
+    /// Every gate kind at fan-in 2 and 3 where it has one, plus the
+    /// unary and constant kinds.
+    fn every_gate_kind() -> Netlist {
+        let mut nl = Netlist::new("kinds");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        for kind in [
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+        ] {
+            let y2 = nl.add_gate(kind, &[a, b]).unwrap();
+            let y3 = nl.add_gate(kind, &[a, b, c]).unwrap();
+            nl.mark_output(y2, format!("{kind}2"));
+            nl.mark_output(y3, format!("{kind}3"));
         }
-        assert_eq!(EncoderKind::parse("abc"), None);
-        assert_eq!(EncoderKind::default(), EncoderKind::Aig);
+        let inv = nl.add_gate(GateKind::Inv, &[a]).unwrap();
+        let buf = nl.add_gate(GateKind::Buf, &[b]).unwrap();
+        let mux = nl.add_gate(GateKind::Mux2, &[a, b, c]).unwrap();
+        let c0 = nl.add_gate(GateKind::Const0, &[]).unwrap();
+        let c1 = nl.add_gate(GateKind::Const1, &[]).unwrap();
+        nl.mark_output(inv, "inv");
+        nl.mark_output(buf, "buf");
+        nl.mark_output(mux, "mux");
+        nl.mark_output(c0, "c0");
+        nl.mark_output(c1, "c1");
+        nl
+    }
+
+    fn mux4() -> Netlist {
+        let mut nl = Netlist::new("m4");
+        let ins: Vec<_> = (0..6).map(|i| nl.add_input(format!("i{i}"))).collect();
+        let y = nl.add_gate(GateKind::Mux4, &ins).unwrap();
+        nl.mark_output(y, "y");
+        nl
+    }
+
+    /// One PI and one flip-flop: the view has a pseudo-PI (the Q pin) and
+    /// a pseudo-PO (the D pin) next to the real ports, and the encoding
+    /// must expose variables for both.
+    fn sequential() -> Netlist {
+        let mut nl = Netlist::new("seq");
+        let a = nl.add_input("a");
+        let d = nl.add_gate(GateKind::Inv, &[a]).unwrap();
+        let q = nl.add_dff(d).unwrap();
+        let y = nl.add_gate(GateKind::And, &[q, a]).unwrap();
+        nl.mark_output(y, "y");
+        nl
     }
 
     #[test]
-    fn both_encoders_agree_exhaustively() {
-        let nl = sample();
-        let view = CombView::new(&nl);
-        let n = view.num_inputs();
-        for encoder in [EncoderKind::Flat, EncoderKind::Aig] {
+    fn encoding_agrees_with_evaluation_exhaustively() {
+        for nl in [
+            sample(),
+            full_adder(),
+            every_gate_kind(),
+            mux4(),
+            sequential(),
+        ] {
+            let view = CombView::new(&nl);
+            let n = view.num_inputs();
+            let mut solver = Solver::new();
+            let io = encode_comb_with(&mut solver, &nl, &view, &[]);
+            assert_eq!(io.input_vars.len(), n, "{}", nl.name());
+            assert_eq!(io.output_vars.len(), view.num_outputs(), "{}", nl.name());
             for bits in 0u32..(1 << n) {
                 let bools: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
                 let logic: Vec<Logic> = bools.iter().map(|&b| Logic::from_bool(b)).collect();
                 let expect = view.eval(&nl, &logic);
-                let mut solver = Solver::new();
-                let io = encode_comb_with(&mut solver, &nl, &view, &[], encoder);
                 let assumptions: Vec<Lit> = io
                     .input_vars
                     .iter()
                     .zip(&bools)
                     .map(|(&v, &b)| Lit::with_sign(v, !b))
                     .collect();
-                assert_eq!(solver.solve_with(&assumptions), SatResult::Sat, "{encoder}");
+                assert_eq!(solver.solve_with(&assumptions), SatResult::Sat);
                 for (i, &ov) in io.output_vars.iter().enumerate() {
+                    let want = expect[i].to_bool();
+                    assert!(want.is_some(), "X in a fully-driven circuit");
                     assert_eq!(
                         solver.value(ov),
-                        expect[i].to_bool(),
-                        "{encoder} output {i} bits {bits:b}"
+                        want,
+                        "{} output {i} bits {bits:b}",
+                        nl.name()
                     );
                 }
             }
@@ -238,13 +297,13 @@ mod tests {
     }
 
     #[test]
-    fn pinned_inputs_are_respected_by_the_aig_encoder() {
+    fn pinned_inputs_are_respected() {
         let nl = sample();
         let view = CombView::new(&nl);
         let mut solver = Solver::new();
         let shared = solver.new_var();
-        let io1 = encode_comb_with(&mut solver, &nl, &view, &[Some(shared)], EncoderKind::Aig);
-        let io2 = encode_comb_with(&mut solver, &nl, &view, &[Some(shared)], EncoderKind::Aig);
+        let io1 = encode_comb_with(&mut solver, &nl, &view, &[Some(shared)]);
+        let io2 = encode_comb_with(&mut solver, &nl, &view, &[Some(shared)]);
         assert_eq!(io1.input_vars[0], shared);
         assert_eq!(io2.input_vars[0], shared);
         assert_ne!(io1.input_vars[1], io2.input_vars[1]);

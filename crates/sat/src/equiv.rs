@@ -6,8 +6,8 @@
 //! and removal-attack reconstructions, and by tests as an independent
 //! referee for the locking flows.
 
-use crate::encoder::{encode_comb_with, EncoderKind};
-use crate::{Lit, SatResult, Solver, SolverBackend, SolverStats, Var};
+use crate::encoder::encode_comb_with;
+use crate::{Lit, SatResult, Solver, SolverStats, Var};
 use glitchlock_netlist::{CombView, Netlist};
 
 /// Outcome of a bounded equivalence check.
@@ -31,42 +31,10 @@ pub enum EquivResult {
 /// Panics if the interfaces disagree (primary input/output counts) or a
 /// netlist is cyclic.
 pub fn bounded_equiv(a: &Netlist, b: &Netlist, k: usize) -> EquivResult {
-    bounded_equiv_with(a, b, k, SolverBackend::default())
+    bounded_equiv_with_stats(a, b, k).0
 }
 
-/// [`bounded_equiv`] on an explicit solver backend.
-///
-/// # Panics
-///
-/// Panics if the interfaces disagree (primary input/output counts) or a
-/// netlist is cyclic.
-pub fn bounded_equiv_with(
-    a: &Netlist,
-    b: &Netlist,
-    k: usize,
-    backend: SolverBackend,
-) -> EquivResult {
-    bounded_equiv_with_stats(a, b, k, backend).0
-}
-
-/// [`bounded_equiv_with`] on an explicit CNF encoder as well — the path
-/// behind `glk equiv --encoder …`.
-///
-/// # Panics
-///
-/// Panics if the interfaces disagree (primary input/output counts) or a
-/// netlist is cyclic.
-pub fn bounded_equiv_with_encoder(
-    a: &Netlist,
-    b: &Netlist,
-    k: usize,
-    backend: SolverBackend,
-    encoder: EncoderKind,
-) -> EquivResult {
-    bounded_equiv_full(a, b, k, backend, encoder).0
-}
-
-/// [`bounded_equiv_with`], additionally returning the solver's search
+/// [`bounded_equiv`], additionally returning the solver's search
 /// statistics — the `sat_solver` benchmark uses these to report
 /// conflicts/sec on equivalence workloads.
 ///
@@ -74,28 +42,7 @@ pub fn bounded_equiv_with_encoder(
 ///
 /// Panics if the interfaces disagree (primary input/output counts) or a
 /// netlist is cyclic.
-pub fn bounded_equiv_with_stats(
-    a: &Netlist,
-    b: &Netlist,
-    k: usize,
-    backend: SolverBackend,
-) -> (EquivResult, SolverStats) {
-    bounded_equiv_full(a, b, k, backend, EncoderKind::default())
-}
-
-/// The full-parameter unrolling shared by every `bounded_equiv*` front.
-///
-/// # Panics
-///
-/// Panics if the interfaces disagree (primary input/output counts) or a
-/// netlist is cyclic.
-pub fn bounded_equiv_full(
-    a: &Netlist,
-    b: &Netlist,
-    k: usize,
-    backend: SolverBackend,
-    encoder: EncoderKind,
-) -> (EquivResult, SolverStats) {
+pub fn bounded_equiv_with_stats(a: &Netlist, b: &Netlist, k: usize) -> (EquivResult, SolverStats) {
     assert_eq!(
         a.input_nets().len(),
         b.input_nets().len(),
@@ -111,7 +58,7 @@ pub fn bounded_equiv_full(
     let n_pi = a.input_nets().len();
     let n_po = a.output_ports().len();
 
-    let mut solver = Solver::with_backend(backend);
+    let mut solver = Solver::new();
     // Shared primary inputs per cycle.
     let mut pi_vars: Vec<Vec<Var>> = Vec::with_capacity(k);
     for _ in 0..k {
@@ -141,7 +88,7 @@ pub fn bounded_equiv_full(
             let mut pinned: Vec<Option<Var>> = Vec::with_capacity(view.num_inputs());
             pinned.extend(pis.iter().copied().map(Some));
             pinned.extend(state.iter().copied().map(Some));
-            let ports = encode_comb_with(solver, nl, view, &pinned, encoder);
+            let ports = encode_comb_with(solver, nl, view, &pinned);
             let pos = ports.output_vars[..n_po].to_vec();
             let next = ports.output_vars[n_po..].to_vec();
             (pos, next)
@@ -205,46 +152,6 @@ mod tests {
     fn identical_netlists_are_equivalent() {
         let a = counter(false);
         assert_eq!(bounded_equiv(&a, &a.clone(), 4), EquivResult::Equivalent);
-    }
-
-    #[test]
-    fn both_backends_agree_on_verdicts() {
-        let a = counter(false);
-        let b = counter(true);
-        for backend in [SolverBackend::Legacy, SolverBackend::Modern] {
-            assert_eq!(
-                bounded_equiv_with(&a, &a.clone(), 4, backend),
-                EquivResult::Equivalent,
-                "{backend}"
-            );
-            assert!(
-                matches!(
-                    bounded_equiv_with(&a, &b, 3, backend),
-                    EquivResult::Counterexample { .. }
-                ),
-                "{backend}"
-            );
-        }
-    }
-
-    #[test]
-    fn both_encoders_agree_on_verdicts() {
-        let a = counter(false);
-        let b = counter(true);
-        for encoder in [EncoderKind::Flat, EncoderKind::Aig] {
-            assert_eq!(
-                bounded_equiv_with_encoder(&a, &a.clone(), 4, SolverBackend::default(), encoder),
-                EquivResult::Equivalent,
-                "{encoder}"
-            );
-            assert!(
-                matches!(
-                    bounded_equiv_with_encoder(&a, &b, 3, SolverBackend::default(), encoder),
-                    EquivResult::Counterexample { .. }
-                ),
-                "{encoder}"
-            );
-        }
     }
 
     #[test]

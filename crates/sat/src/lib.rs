@@ -6,20 +6,21 @@
 //!
 //! * [`Solver`] — conflict-driven clause learning with two-watched-literal
 //!   propagation, first-UIP conflict analysis, and VSIDS branching with
-//!   phase saving. Two strategy profiles are selectable via
-//!   [`SolverBackend`]: `legacy` (Luby restarts, activity-based clause
-//!   reduction) and `modern` (glucose-style LBD clause management, EMA
-//!   restarts with trail-depth blocking, best-phase rephasing). Supports
-//!   incremental clause addition between solves and solving under
-//!   assumptions with unsat-core extraction
+//!   phase saving, run on one strategy profile: glucose-style LBD clause
+//!   management, EMA restarts with trail-depth blocking, and best-phase
+//!   rephasing. Supports incremental clause addition between solves and
+//!   solving under assumptions with unsat-core extraction
 //!   ([`Solver::failed_assumptions`]) — all used by the attack's DIP loop.
-//!   The incremental surface is abstracted by [`IncrementalSolver`].
 //! * [`Cnf`]/[`Lit`]/[`Var`] — clause database types.
-//! * [`tseitin`] — the Tseitin transformation from a gate-level netlist's
-//!   combinational view to CNF, one variable per net.
-//! * [`encoder`] — encoder selection ([`EncoderKind`]): the flat per-net
-//!   Tseitin above, or a strash-deduplicated And-Inverter-Graph encoding
-//!   (one 3-clause gate per AND node, the `--encoder aig` default).
+//! * [`encoder`] — the netlist-to-CNF encoder: a gate-level netlist's
+//!   combinational view is lowered to a strash-deduplicated
+//!   And-Inverter Graph and Tseitin-encoded at one 3-clause gate per AND
+//!   node ([`encode_comb_with`]), into a [`Cnf`] or straight into a
+//!   [`Solver`] (both are [`CnfSink`]s).
+//! * [`equiv`] — bounded sequential equivalence checking by unrolling.
+//!
+//! [`SolverBackend`] and [`EncoderKind`] are one-variant types naming
+//! that one profile and that one encoder.
 //!
 //! # Example
 //!
@@ -40,7 +41,6 @@
 
 #![deny(missing_docs)]
 
-mod backend;
 mod clause;
 mod cnf;
 pub mod dimacs;
@@ -50,10 +50,7 @@ mod heap;
 mod reduce;
 mod restart;
 mod solver;
-pub mod tseitin;
 
-pub use backend::{IncrementalSolver, SolverBackend};
 pub use cnf::{Cnf, Lit, Var};
-pub use encoder::{encode_aig_into, encode_comb_with, AigPorts, EncodedIo, EncoderKind};
-pub use solver::{SatResult, Solver, SolverStats};
-pub use tseitin::{encode_comb, encode_comb_into, CnfSink, EncodedPorts, Encoding};
+pub use encoder::{encode_aig_into, encode_comb_with, AigPorts, CnfSink, EncodedIo, EncoderKind};
+pub use solver::{SatResult, Solver, SolverBackend, SolverStats};

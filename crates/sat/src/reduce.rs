@@ -1,17 +1,11 @@
 //! Learnt-clause database reduction.
 //!
-//! Both backends periodically delete a slice of the learnt clauses to
-//! keep propagation fast; they differ in how they rank victims:
-//!
-//! * legacy — rank by clause activity alone and drop the lower half
-//!   (the original behavior, fires only at decision level 0);
-//! * modern — rank by LBD (worst first), tie-break on activity, and
-//!   never touch glue clauses (LBD ≤ 2), clauses currently acting as a
-//!   propagation reason, or clauses protected since their LBD improved
-//!   in a recent conflict.
-//!
-//! Binary clauses are exempt in both: they are cheap to keep and
-//! expensive to relearn.
+//! The solver periodically deletes a slice of the learnt clauses to keep
+//! propagation fast. Victims are ranked by LBD (worst first) with a
+//! tie-break on activity; glue clauses (LBD ≤ 2), clauses currently
+//! acting as a propagation reason, and clauses protected since their LBD
+//! improved in a recent conflict are never touched. Binary clauses are
+//! exempt too: they are cheap to keep and expensive to relearn.
 
 use crate::clause::ClauseRef;
 use crate::solver::{Assign, Solver};
@@ -35,35 +29,12 @@ impl Solver {
         self.live_clauses -= 1;
     }
 
-    /// Legacy reduction: drop the lower-activity half of the non-binary
-    /// learnt clauses (reason clauses exempt).
-    pub(crate) fn reduce_legacy(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut learnt_refs: Vec<ClauseRef> = (0..self.clauses.len() as ClauseRef)
-            .filter(|&i| {
-                let c = &self.clauses[i as usize];
-                c.learnt && !c.deleted && c.lits.len() > 2 && !self.clause_is_reason(i)
-            })
-            .collect();
-        learnt_refs.sort_by(|&a, &b| {
-            self.clauses[a as usize]
-                .activity
-                .partial_cmp(&self.clauses[b as usize].activity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let to_delete = learnt_refs.len() / 2;
-        for &cref in &learnt_refs[..to_delete] {
-            self.delete_clause(cref);
-        }
-        self.stats.reductions += 1;
-    }
-
-    /// Modern reduction: drop the worst half of the reducible learnt
+    /// Drops the worst half of the reducible learnt
     /// clauses, ranked by LBD (high first) then activity (low first).
     /// Glue, reason, and protected clauses always survive; protection
     /// lasts exactly one round. Safe at any decision level: stale
     /// watchers are dropped lazily and reason clauses are exempt.
-    pub(crate) fn reduce_modern(&mut self) {
+    pub(crate) fn reduce_db(&mut self) {
         let mut victims: Vec<ClauseRef> = (0..self.clauses.len() as ClauseRef)
             .filter(|&i| {
                 let c = &self.clauses[i as usize];
@@ -99,7 +70,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Lit, SolverBackend, Var};
+    use crate::{Lit, Var};
 
     /// Builds a solver with `n` free variables and returns them.
     fn vars(s: &mut Solver, n: usize) -> Vec<Var> {
@@ -114,8 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn modern_reduction_never_drops_glue_protected_or_reason_clauses() {
-        let mut s = Solver::with_backend(SolverBackend::Modern);
+    fn reduction_never_drops_glue_protected_or_reason_clauses() {
+        let mut s = Solver::new();
         let v = vars(&mut s, 12);
         let tern = |a: usize, b: usize, c: usize| [Lit::pos(v[a]), Lit::pos(v[b]), Lit::pos(v[c])];
 
@@ -132,7 +103,7 @@ mod tests {
         s.enqueue(implied, Some(locked));
 
         let before = s.num_learnt;
-        s.reduce_modern();
+        s.reduce_db();
         assert!(s.num_learnt < before, "reduction must delete something");
         for (cref, what) in [(glue, "glue"), (shielded, "protected"), (locked, "reason")] {
             assert!(
@@ -146,8 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn modern_reduction_prefers_high_lbd_victims() {
-        let mut s = Solver::with_backend(SolverBackend::Modern);
+    fn reduction_prefers_high_lbd_victims() {
+        let mut s = Solver::new();
         let v = vars(&mut s, 9);
         let good = learnt(&mut s, &[Lit::pos(v[0]), Lit::pos(v[1]), Lit::pos(v[2])], 3);
         let bad = learnt(
@@ -160,33 +131,14 @@ mod tests {
             &[Lit::pos(v[6]), Lit::pos(v[7]), Lit::pos(v[8])],
             10,
         );
-        s.reduce_modern();
+        s.reduce_db();
         assert!(s.clauses[bad as usize].deleted, "worst LBD goes first");
         assert!(!s.clauses[good as usize].deleted, "best LBD survives");
     }
 
     #[test]
-    fn legacy_reduction_spares_reason_clauses() {
-        let mut s = Solver::with_backend(SolverBackend::Legacy);
-        let v = vars(&mut s, 9);
-        let tern = |a: usize, b: usize, c: usize| [Lit::pos(v[a]), Lit::pos(v[b]), Lit::pos(v[c])];
-        let crefs: Vec<ClauseRef> = (0..3)
-            .map(|i| learnt(&mut s, &tern(3 * i, 3 * i + 1, 3 * i + 2), 0))
-            .collect();
-        // Zero activity on the reason clause so it would be first to go.
-        s.clauses[crefs[0] as usize].activity = 0.0;
-        let implied = s.clauses[crefs[0] as usize].lits[0];
-        s.enqueue(implied, Some(crefs[0]));
-        s.reduce_legacy();
-        assert!(
-            !s.clauses[crefs[0] as usize].deleted,
-            "reason clause deleted"
-        );
-    }
-
-    #[test]
     fn live_clause_count_tracks_reduction() {
-        let mut s = Solver::with_backend(SolverBackend::Modern);
+        let mut s = Solver::new();
         let v = vars(&mut s, 6);
         for i in 0..2 {
             learnt(
@@ -200,7 +152,7 @@ mod tests {
             );
         }
         assert_eq!(s.num_clauses(), 2);
-        s.reduce_modern();
+        s.reduce_db();
         assert_eq!(s.num_clauses(), 1);
     }
 }

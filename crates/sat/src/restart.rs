@@ -1,8 +1,6 @@
-//! Restart policies.
+//! Restart policy.
 //!
-//! The legacy backend restarts on a Luby schedule (unit 100 conflicts),
-//! exactly as the original solver did. The modern backend uses
-//! glucose-style dynamic restarts: restart when the short-term average
+//! Glucose-style dynamic restarts: restart when the short-term average
 //! conflict LBD rises above the long-term average (search is learning
 //! poorly here), and *block* an imminent restart when the assignment
 //! trail is much deeper than usual (search may be close to a model).
@@ -41,15 +39,6 @@ impl Ema {
     }
 }
 
-/// Restart schedule selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RestartMode {
-    /// Luby sequence × 100 conflicts (legacy).
-    Luby,
-    /// Glucose fast/slow LBD EMAs with trail-depth blocking (modern).
-    Glucose,
-}
-
 /// Fast EMA smoothing (~last 32 conflicts).
 const FAST_ALPHA: f64 = 1.0 / 32.0;
 /// Slow EMA smoothing (~last 4096 conflicts).
@@ -62,19 +51,12 @@ const MARGIN: f64 = 1.25;
 const BLOCK_FACTOR: f64 = 1.4;
 /// Minimum conflicts between glucose restarts.
 const MIN_CONFLICTS: u64 = 50;
-/// Luby unit, in conflicts (matches the original solver).
-const LUBY_UNIT: u64 = 100;
 
 /// All restart bookkeeping for one solver.
 #[derive(Clone, Debug)]
 pub(crate) struct RestartState {
-    mode: RestartMode,
     /// Conflicts since the last restart (or block).
     since: u64,
-    // Luby state.
-    luby_count: u64,
-    budget: u64,
-    // Glucose state.
     fast: Ema,
     slow: Ema,
     trail: Ema,
@@ -83,12 +65,9 @@ pub(crate) struct RestartState {
 }
 
 impl RestartState {
-    pub(crate) fn new(mode: RestartMode) -> RestartState {
+    pub(crate) fn new() -> RestartState {
         RestartState {
-            mode,
             since: 0,
-            luby_count: 1,
-            budget: LUBY_UNIT * luby(1),
             fast: Ema::new(FAST_ALPHA),
             slow: Ema::new(SLOW_ALPHA),
             trail: Ema::new(TRAIL_ALPHA),
@@ -100,67 +79,35 @@ impl RestartState {
     /// the moment of conflict.
     pub(crate) fn on_conflict(&mut self, lbd: u32, trail_len: usize) {
         self.since += 1;
-        if self.mode == RestartMode::Glucose {
-            self.fast.update(f64::from(lbd));
-            self.slow.update(f64::from(lbd));
-            // Blocking: a much-deeper-than-usual trail suggests progress
-            // toward a model; postpone the restart by restarting the
-            // conflict window.
-            if self.since >= MIN_CONFLICTS && trail_len as f64 > BLOCK_FACTOR * self.trail.get() {
-                self.since = 0;
-                self.blocked += 1;
-            }
-            self.trail.update(trail_len as f64);
+        self.fast.update(f64::from(lbd));
+        self.slow.update(f64::from(lbd));
+        // Blocking: a much-deeper-than-usual trail suggests progress
+        // toward a model; postpone the restart by restarting the
+        // conflict window.
+        if self.since >= MIN_CONFLICTS && trail_len as f64 > BLOCK_FACTOR * self.trail.get() {
+            self.since = 0;
+            self.blocked += 1;
         }
+        self.trail.update(trail_len as f64);
     }
 
     /// Should the solver restart now?
     pub(crate) fn should_restart(&self) -> bool {
-        match self.mode {
-            RestartMode::Luby => self.since >= self.budget,
-            RestartMode::Glucose => {
-                self.since >= MIN_CONFLICTS && self.fast.get() > MARGIN * self.slow.get()
-            }
-        }
+        self.since >= MIN_CONFLICTS && self.fast.get() > MARGIN * self.slow.get()
     }
 
     /// Resets the per-restart window after a restart was performed.
     pub(crate) fn on_restart(&mut self) {
         self.since = 0;
-        if self.mode == RestartMode::Luby {
-            self.luby_count += 1;
-            self.budget = LUBY_UNIT * luby(self.luby_count);
-        } else {
-            // Forget the fast window so the next restart needs fresh
-            // evidence of bad LBDs, not the ones that caused this restart.
-            self.fast = Ema::new(FAST_ALPHA);
-        }
-    }
-}
-
-/// The Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 …
-pub(crate) fn luby(mut x: u64) -> u64 {
-    loop {
-        let mut k = 1u32;
-        while (1u64 << k) - 1 < x {
-            k += 1;
-        }
-        if (1u64 << k) - 1 == x {
-            return 1u64 << (k - 1);
-        }
-        x -= (1u64 << (k - 1)) - 1;
+        // Forget the fast window so the next restart needs fresh evidence
+        // of bad LBDs, not the ones that caused this restart.
+        self.fast = Ema::new(FAST_ALPHA);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn luby_sequence_prefix() {
-        let seq: Vec<u64> = (1..=15).map(luby).collect();
-        assert_eq!(seq, vec![1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]);
-    }
 
     #[test]
     fn ema_seeds_from_first_sample_then_smooths() {
@@ -174,21 +121,8 @@ mod tests {
     }
 
     #[test]
-    fn luby_schedule_restarts_on_budget() {
-        let mut r = RestartState::new(RestartMode::Luby);
-        for _ in 0..99 {
-            r.on_conflict(5, 10);
-            assert!(!r.should_restart());
-        }
-        r.on_conflict(5, 10);
-        assert!(r.should_restart(), "100 conflicts = first Luby budget");
-        r.on_restart();
-        assert!(!r.should_restart());
-    }
-
-    #[test]
     fn glucose_restarts_when_recent_lbd_degrades() {
-        let mut r = RestartState::new(RestartMode::Glucose);
+        let mut r = RestartState::new();
         // A long run of good (low-LBD) conflicts: no restart.
         for _ in 0..500 {
             r.on_conflict(3, 10);
@@ -205,7 +139,7 @@ mod tests {
 
     #[test]
     fn glucose_blocks_restart_on_deep_trail() {
-        let mut r = RestartState::new(RestartMode::Glucose);
+        let mut r = RestartState::new();
         for _ in 0..500 {
             r.on_conflict(3, 100);
         }

@@ -1,17 +1,26 @@
 //! The CDCL solver.
 //!
-//! One engine, two strategy profiles (see [`SolverBackend`]): the legacy
-//! profile keeps the original Luby-restart/activity-reduction behavior;
-//! the modern profile layers on glucose-style LBD clause management,
-//! EMA-driven restarts with trail-depth blocking, and best-phase
-//! rephasing. The split modules hold the moving parts: `clause` (storage),
-//! `restart` (schedules), `reduce` (DB reduction), `heap` (VSIDS order).
+//! One engine with glucose-style LBD clause management, EMA-driven
+//! restarts with trail-depth blocking, and best-phase rephasing on top of
+//! phase saving. The split modules hold the moving parts: `clause`
+//! (storage), `restart` (schedule), `reduce` (DB reduction), `heap`
+//! (VSIDS order).
 
-use crate::backend::{IncrementalSolver, SolverBackend};
 use crate::clause::{Clause, ClauseRef, Watcher, GLUE_LBD};
 use crate::heap::ActivityHeap;
-use crate::restart::{RestartMode, RestartState};
+use crate::restart::RestartState;
 use crate::{Cnf, Lit, Var};
+
+/// The CDCL strategy profile a [`Solver`] runs. There is one; the type
+/// keeps callers that spell out a full miter configuration (see
+/// `MiterSession::with_config` in `glitchlock-attacks`) compiling, and
+/// nothing branches on it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum SolverBackend {
+    /// Glucose-style engine: LBD reduction, EMA restarts, rephasing.
+    #[default]
+    Modern,
+}
 
 /// Result of a [`Solver::solve`] call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -72,19 +81,18 @@ impl Assign {
 const VAR_DECAY: f64 = 0.95;
 const CLA_DECAY: f64 = 0.999;
 const RESCALE_LIMIT: f64 = 1e100;
-/// Modern backend: first reduction after this many conflicts…
+/// First clause-DB reduction after this many conflicts…
 const REDUCE_BASE: u64 = 2000;
 /// …and each later one after `REDUCE_STEP × reductions` more.
 const REDUCE_STEP: u64 = 300;
-/// Modern backend: copy the best phase over saved phases this often.
+/// Copy the best phase over saved phases this often.
 const REPHASE_INTERVAL: u64 = 10_000;
 
 /// A conflict-driven clause-learning SAT solver.
 ///
 /// Supports incremental use: clauses may be added between `solve` calls and
 /// [`Solver::solve_with`] solves under temporary assumptions. See the crate
-/// docs for an example. The full incremental surface is also available
-/// through the [`IncrementalSolver`] trait.
+/// docs for an example.
 #[derive(Clone, Debug)]
 pub struct Solver {
     pub(crate) clauses: Vec<Clause>,
@@ -107,16 +115,14 @@ pub struct Solver {
     saved_model: Vec<Assign>,
     pub(crate) stats: SolverStats,
     pub(crate) num_learnt: usize,
-    max_learnt: f64,
-    backend: SolverBackend,
     restart: RestartState,
     /// Assumption unsat core from the last Unsat answer (empty when the
     /// formula alone is unsatisfiable).
     failed: Vec<Lit>,
-    /// Phases of the deepest trail seen since the last rephase (modern).
+    /// Phases of the deepest trail seen since the last rephase.
     best_phase: Vec<bool>,
     best_trail: usize,
-    /// Conflict counts that trigger the next reduction / rephase (modern).
+    /// Conflict counts that trigger the next reduction / rephase.
     reduce_limit: u64,
     rephase_limit: u64,
     /// Live (non-deleted) clause count, kept O(1) for telemetry.
@@ -133,18 +139,8 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// An empty solver running the default ([`SolverBackend::Modern`])
-    /// strategy profile.
+    /// An empty solver.
     pub fn new() -> Self {
-        Solver::with_backend(SolverBackend::default())
-    }
-
-    /// An empty solver running the given strategy profile.
-    pub fn with_backend(backend: SolverBackend) -> Self {
-        let mode = match backend {
-            SolverBackend::Legacy => RestartMode::Luby,
-            SolverBackend::Modern => RestartMode::Glucose,
-        };
         Solver {
             clauses: Vec::new(),
             watches: Vec::new(),
@@ -164,9 +160,7 @@ impl Solver {
             saved_model: Vec::new(),
             stats: SolverStats::default(),
             num_learnt: 0,
-            max_learnt: 3000.0,
-            backend,
-            restart: RestartState::new(mode),
+            restart: RestartState::new(),
             failed: Vec::new(),
             best_phase: Vec::new(),
             best_trail: 0,
@@ -178,14 +172,9 @@ impl Solver {
         }
     }
 
-    /// Builds a solver pre-loaded with a formula (default backend).
+    /// Builds a solver pre-loaded with a formula.
     pub fn from_cnf(cnf: &Cnf) -> Self {
-        Solver::from_cnf_with(cnf, SolverBackend::default())
-    }
-
-    /// Builds a solver pre-loaded with a formula on a chosen backend.
-    pub fn from_cnf_with(cnf: &Cnf, backend: SolverBackend) -> Self {
-        let mut s = Solver::with_backend(backend);
+        let mut s = Solver::new();
         while s.num_vars() < cnf.num_vars() {
             s.new_var();
         }
@@ -193,11 +182,6 @@ impl Solver {
             s.add_clause(c);
         }
         s
-    }
-
-    /// The strategy profile this solver runs.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
     }
 
     /// Allocates a fresh variable.
@@ -497,17 +481,15 @@ impl Solver {
             let lits = self.clauses[confl as usize].lits.clone();
             if self.clauses[confl as usize].learnt {
                 self.bump_clause(confl);
-                if self.backend == SolverBackend::Modern {
-                    // Dynamic LBD: a clause re-used in conflict analysis
-                    // whose LBD improved is doing well — refresh the score
-                    // and shield it from the next reduction.
-                    let fresh = self.lbd_of(&lits);
-                    let c = &mut self.clauses[confl as usize];
-                    if c.lbd != 0 && fresh < c.lbd {
-                        c.lbd = fresh.max(1);
-                        if c.lbd > GLUE_LBD {
-                            c.protected = true;
-                        }
+                // Dynamic LBD: a clause re-used in conflict analysis whose
+                // LBD improved is doing well — refresh the score and shield
+                // it from the next reduction.
+                let fresh = self.lbd_of(&lits);
+                let c = &mut self.clauses[confl as usize];
+                if c.lbd != 0 && fresh < c.lbd {
+                    c.lbd = fresh.max(1);
+                    if c.lbd > GLUE_LBD {
+                        c.protected = true;
                     }
                 }
             }
@@ -672,9 +654,7 @@ impl Solver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                if self.backend == SolverBackend::Modern {
-                    self.snapshot_best_phase();
-                }
+                self.snapshot_best_phase();
                 let (learnt, bt, lbd) = self.analyze(confl);
                 self.stats.lbd_sum += u64::from(lbd);
                 self.restart.on_conflict(lbd, self.trail.len());
@@ -695,41 +675,20 @@ impl Solver {
                 }
                 self.var_inc /= VAR_DECAY;
                 self.cla_inc /= CLA_DECAY;
-                match self.backend {
-                    SolverBackend::Legacy => {
-                        if self.num_learnt as f64 > self.max_learnt && self.decision_level() == 0 {
-                            self.reduce_legacy();
-                            self.max_learnt *= 1.3;
-                        }
-                    }
-                    SolverBackend::Modern => {
-                        if self.stats.conflicts >= self.reduce_limit {
-                            self.reduce_modern();
-                            self.reduce_limit = self.stats.conflicts
-                                + REDUCE_BASE
-                                + REDUCE_STEP * self.stats.reductions;
-                        }
-                    }
+                if self.stats.conflicts >= self.reduce_limit {
+                    self.reduce_db();
+                    self.reduce_limit =
+                        self.stats.conflicts + REDUCE_BASE + REDUCE_STEP * self.stats.reductions;
                 }
             } else {
                 if self.restart.should_restart() {
                     self.stats.restarts += 1;
                     self.restart.on_restart();
                     self.cancel_until(0);
-                    match self.backend {
-                        SolverBackend::Legacy => {
-                            if self.num_learnt as f64 > self.max_learnt {
-                                self.reduce_legacy();
-                                self.max_learnt *= 1.3;
-                            }
-                        }
-                        SolverBackend::Modern => {
-                            if self.stats.conflicts >= self.rephase_limit {
-                                self.polarity.copy_from_slice(&self.best_phase);
-                                self.best_trail = 0;
-                                self.rephase_limit = self.stats.conflicts + REPHASE_INTERVAL;
-                            }
-                        }
+                    if self.stats.conflicts >= self.rephase_limit {
+                        self.polarity.copy_from_slice(&self.best_phase);
+                        self.best_trail = 0;
+                        self.rephase_limit = self.stats.conflicts + REPHASE_INTERVAL;
                     }
                     continue;
                 }
@@ -787,37 +746,9 @@ impl Solver {
     }
 }
 
-impl IncrementalSolver for Solver {
-    fn new_var(&mut self) -> Var {
-        Solver::new_var(self)
-    }
-
-    fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        Solver::add_clause(self, lits)
-    }
-
-    fn solve_with(&mut self, assumptions: &[Lit]) -> SatResult {
-        Solver::solve_with(self, assumptions)
-    }
-
-    fn value(&self, v: Var) -> Option<bool> {
-        Solver::value(self, v)
-    }
-
-    fn failed_assumptions(&self) -> &[Lit] {
-        Solver::failed_assumptions(self)
-    }
-
-    fn stats(&self) -> SolverStats {
-        Solver::stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const BOTH: [SolverBackend; 2] = [SolverBackend::Legacy, SolverBackend::Modern];
 
     fn lit(v: Var, pos: bool) -> Lit {
         Lit::with_sign(v, !pos)
@@ -825,15 +756,13 @@ mod tests {
 
     #[test]
     fn trivial_sat_and_unsat() {
-        for backend in BOTH {
-            let mut s = Solver::with_backend(backend);
-            let a = s.new_var();
-            assert!(s.add_clause(&[Lit::pos(a)]));
-            assert_eq!(s.solve(), SatResult::Sat);
-            assert_eq!(s.value(a), Some(true));
-            assert!(!s.add_clause(&[Lit::neg(a)]));
-            assert_eq!(s.solve(), SatResult::Unsat);
-        }
+        let mut s = Solver::new();
+        let a = s.new_var();
+        assert!(s.add_clause(&[Lit::pos(a)]));
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.value(a), Some(true));
+        assert!(!s.add_clause(&[Lit::neg(a)]));
+        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]
@@ -860,25 +789,23 @@ mod tests {
     #[test]
     fn pigeonhole_3_into_2_is_unsat() {
         // 3 pigeons, 2 holes: p[i][j] = pigeon i in hole j.
-        for backend in BOTH {
-            let mut s = Solver::with_backend(backend);
-            let p: Vec<Vec<Var>> = (0..3)
-                .map(|_| (0..2).map(|_| s.new_var()).collect())
-                .collect();
-            for row in &p {
-                s.add_clause(&[Lit::pos(row[0]), Lit::pos(row[1])]);
-            }
-            #[allow(clippy::needless_range_loop)]
-            for j in 0..2 {
-                for i1 in 0..3 {
-                    for i2 in (i1 + 1)..3 {
-                        s.add_clause(&[Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
-                    }
+        let mut s = Solver::new();
+        let p: Vec<Vec<Var>> = (0..3)
+            .map(|_| (0..2).map(|_| s.new_var()).collect())
+            .collect();
+        for row in &p {
+            s.add_clause(&[Lit::pos(row[0]), Lit::pos(row[1])]);
+        }
+        #[allow(clippy::needless_range_loop)]
+        for j in 0..2 {
+            for i1 in 0..3 {
+                for i2 in (i1 + 1)..3 {
+                    s.add_clause(&[Lit::neg(p[i1][j]), Lit::neg(p[i2][j])]);
                 }
             }
-            assert_eq!(s.solve(), SatResult::Unsat);
-            assert!(s.stats().conflicts > 0);
         }
+        assert_eq!(s.solve(), SatResult::Unsat);
+        assert!(s.stats().conflicts > 0);
     }
 
     #[test]
@@ -910,49 +837,45 @@ mod tests {
 
     #[test]
     fn failed_assumptions_distinguish_root_unsat() {
-        for backend in BOTH {
-            let mut s = Solver::with_backend(backend);
-            let a = s.new_var();
-            let b = s.new_var();
-            // Formula: a, !a — unsatisfiable on its own.
-            s.add_clause(&[Lit::pos(a)]);
-            s.add_clause(&[Lit::neg(a)]);
-            assert_eq!(s.solve_with(&[Lit::pos(b)]), SatResult::Unsat);
-            assert!(
-                s.failed_assumptions().is_empty(),
-                "{backend}: root UNSAT must yield an empty core"
-            );
-        }
+        let mut s = Solver::new();
+        let a = s.new_var();
+        let b = s.new_var();
+        // Formula: a, !a — unsatisfiable on its own.
+        s.add_clause(&[Lit::pos(a)]);
+        s.add_clause(&[Lit::neg(a)]);
+        assert_eq!(s.solve_with(&[Lit::pos(b)]), SatResult::Unsat);
+        assert!(
+            s.failed_assumptions().is_empty(),
+            "root UNSAT must yield an empty core"
+        );
     }
 
     #[test]
     fn failed_assumptions_core_is_minimal_enough_to_refute() {
         // Chain a -> b -> c plus clause (!c | !d): assuming a and d fails,
         // assuming the unrelated e must stay out of the core.
-        for backend in BOTH {
-            let mut s = Solver::with_backend(backend);
-            let v: Vec<Var> = (0..5).map(|_| s.new_var()).collect();
-            let (a, b, c, d, e) = (v[0], v[1], v[2], v[3], v[4]);
-            s.add_clause(&[Lit::neg(a), Lit::pos(b)]);
-            s.add_clause(&[Lit::neg(b), Lit::pos(c)]);
-            s.add_clause(&[Lit::neg(c), Lit::neg(d)]);
-            let assumptions = [Lit::pos(e), Lit::pos(a), Lit::pos(d)];
-            assert_eq!(s.solve_with(&assumptions), SatResult::Unsat);
-            let core = s.failed_assumptions().to_vec();
-            assert!(!core.is_empty(), "{backend}");
-            for l in &core {
-                assert!(assumptions.contains(l), "{backend}: {l} not an assumption");
-            }
-            assert!(
-                !core.contains(&Lit::pos(e)),
-                "{backend}: irrelevant assumption in core {core:?}"
-            );
-            // The core alone refutes the formula.
-            let core_units = core.clone();
-            assert_eq!(s.solve_with(&core_units), SatResult::Unsat);
-            // And solving without assumptions still works.
-            assert_eq!(s.solve(), SatResult::Sat);
+        let mut s = Solver::new();
+        let v: Vec<Var> = (0..5).map(|_| s.new_var()).collect();
+        let (a, b, c, d, e) = (v[0], v[1], v[2], v[3], v[4]);
+        s.add_clause(&[Lit::neg(a), Lit::pos(b)]);
+        s.add_clause(&[Lit::neg(b), Lit::pos(c)]);
+        s.add_clause(&[Lit::neg(c), Lit::neg(d)]);
+        let assumptions = [Lit::pos(e), Lit::pos(a), Lit::pos(d)];
+        assert_eq!(s.solve_with(&assumptions), SatResult::Unsat);
+        let core = s.failed_assumptions().to_vec();
+        assert!(!core.is_empty());
+        for l in &core {
+            assert!(assumptions.contains(l), "{l} not an assumption");
         }
+        assert!(
+            !core.contains(&Lit::pos(e)),
+            "irrelevant assumption in core {core:?}"
+        );
+        // The core alone refutes the formula.
+        let core_units = core.clone();
+        assert_eq!(s.solve_with(&core_units), SatResult::Unsat);
+        // And solving without assumptions still works.
+        assert_eq!(s.solve(), SatResult::Sat);
     }
 
     #[test]
@@ -1007,21 +930,19 @@ mod tests {
                 f.add_clause(&lits);
             }
             let expect_sat = f.brute_force().is_some();
-            for backend in BOTH {
-                let mut s = Solver::from_cnf_with(&f, backend);
-                let got = s.solve();
-                assert_eq!(
-                    got == SatResult::Sat,
-                    expect_sat,
-                    "{backend} diverges from brute force in round {round}"
+            let mut s = Solver::from_cnf(&f);
+            let got = s.solve();
+            assert_eq!(
+                got == SatResult::Sat,
+                expect_sat,
+                "diverges from brute force in round {round}"
+            );
+            if got == SatResult::Sat {
+                let model = s.model();
+                assert!(
+                    f.eval(&model),
+                    "model must satisfy the formula (round {round})"
                 );
-                if got == SatResult::Sat {
-                    let model = s.model();
-                    assert!(
-                        f.eval(&model),
-                        "{backend}: model must satisfy the formula (round {round})"
-                    );
-                }
             }
         }
     }
@@ -1047,25 +968,23 @@ mod tests {
     fn phase_saving_repeats_the_last_model() {
         // After a Sat answer the saved polarities equal the model, so a
         // re-solve re-decides the same phases (across restarts too).
-        for backend in BOTH {
-            let mut s = Solver::with_backend(backend);
-            let v: Vec<Var> = (0..8).map(|_| s.new_var()).collect();
-            for w in v.windows(2) {
-                s.add_clause(&[Lit::neg(w[0]), Lit::pos(w[1])]);
-            }
-            s.add_clause(&[Lit::pos(v[0])]);
-            assert_eq!(s.solve(), SatResult::Sat);
-            for &x in &v {
-                assert_eq!(
-                    s.polarity[x.index()],
-                    s.value(x).unwrap(),
-                    "{backend}: phase not saved for {x:?}"
-                );
-            }
-            let first = s.model();
-            assert_eq!(s.solve(), SatResult::Sat);
-            assert_eq!(first, s.model(), "{backend}: phases drifted");
+        let mut s = Solver::new();
+        let v: Vec<Var> = (0..8).map(|_| s.new_var()).collect();
+        for w in v.windows(2) {
+            s.add_clause(&[Lit::neg(w[0]), Lit::pos(w[1])]);
         }
+        s.add_clause(&[Lit::pos(v[0])]);
+        assert_eq!(s.solve(), SatResult::Sat);
+        for &x in &v {
+            assert_eq!(
+                s.polarity[x.index()],
+                s.value(x).unwrap(),
+                "phase not saved for {x:?}"
+            );
+        }
+        let first = s.model();
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(first, s.model(), "phases drifted");
     }
 
     #[test]
@@ -1088,21 +1007,6 @@ mod tests {
         };
         assert_eq!(stats.mean_lbd_milli(), 2500);
         assert_eq!(SolverStats::default().mean_lbd_milli(), 0);
-    }
-
-    #[test]
-    fn trait_object_surface_works() {
-        fn drive(s: &mut dyn IncrementalSolver) -> SatResult {
-            let a = s.new_var();
-            let b = s.new_var();
-            s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-            let r = s.solve_with(&[Lit::neg(a)]);
-            assert_eq!(s.value(b), Some(true));
-            assert!(s.stats().decisions + s.stats().propagations > 0);
-            r
-        }
-        let mut s = Solver::with_backend(SolverBackend::Legacy);
-        assert_eq!(drive(&mut s), SatResult::Sat);
     }
 }
 
@@ -1144,7 +1048,7 @@ mod proptests {
     }
 
     /// Solving under assumptions agrees with brute force over the
-    /// formula plus the assumption units, on both backends, and the
+    /// formula plus the assumption units, and the
     /// failed-assumption core is itself refuting.
     #[test]
     fn assumptions_agree_with_brute_force() {
@@ -1164,43 +1068,37 @@ mod proptests {
                 g.add_clause(&[l]);
             }
             let expect_sat = g.brute_force().is_some();
-            for backend in [SolverBackend::Legacy, SolverBackend::Modern] {
-                let mut s = Solver::from_cnf_with(&f, backend);
-                let got = s.solve_with(&assumptions);
-                assert_eq!(got == SatResult::Sat, expect_sat, "case {case} {backend}");
-                if got == SatResult::Sat {
-                    let model = s.model();
-                    assert!(
-                        g.eval(&model),
-                        "case {case} {backend}: model must satisfy formula + assumptions"
-                    );
-                } else {
-                    // The core is a subset of the assumptions and refutes
-                    // the formula on its own; an empty core means the
-                    // formula alone is unsatisfiable.
-                    let core = s.failed_assumptions().to_vec();
-                    for l in &core {
-                        assert!(assumptions.contains(l), "case {case} {backend}: {l}");
-                    }
-                    if core.is_empty() {
-                        assert!(f.brute_force().is_none(), "case {case} {backend}");
-                    } else {
-                        assert_eq!(
-                            s.solve_with(&core),
-                            SatResult::Unsat,
-                            "case {case} {backend}: core does not refute"
-                        );
-                    }
-                }
-                // Assumptions must not persist: plain solve matches plain
-                // brute force.
-                let plain_sat = f.brute_force().is_some();
-                assert_eq!(
-                    s.solve() == SatResult::Sat,
-                    plain_sat,
-                    "case {case} {backend}"
+            let mut s = Solver::from_cnf(&f);
+            let got = s.solve_with(&assumptions);
+            assert_eq!(got == SatResult::Sat, expect_sat, "case {case}");
+            if got == SatResult::Sat {
+                let model = s.model();
+                assert!(
+                    g.eval(&model),
+                    "case {case}: model must satisfy formula + assumptions"
                 );
+            } else {
+                // The core is a subset of the assumptions and refutes
+                // the formula on its own; an empty core means the
+                // formula alone is unsatisfiable.
+                let core = s.failed_assumptions().to_vec();
+                for l in &core {
+                    assert!(assumptions.contains(l), "case {case}: {l}");
+                }
+                if core.is_empty() {
+                    assert!(f.brute_force().is_none(), "case {case}");
+                } else {
+                    assert_eq!(
+                        s.solve_with(&core),
+                        SatResult::Unsat,
+                        "case {case}: core does not refute"
+                    );
+                }
             }
+            // Assumptions must not persist: plain solve matches plain
+            // brute force.
+            let plain_sat = f.brute_force().is_some();
+            assert_eq!(s.solve() == SatResult::Sat, plain_sat, "case {case}");
         }
     }
 
@@ -1222,37 +1120,34 @@ mod proptests {
     }
 
     /// Clause-database reduction must not change answers: a formula hard
-    /// enough to trigger reductions still solves correctly on both
-    /// backends.
+    /// enough to trigger reductions still solves correctly.
     #[test]
     fn clause_reduction_preserves_soundness() {
-        // Pigeonhole 7 generates thousands of conflicts, well past both
-        // backends' reduction thresholds.
-        for backend in [SolverBackend::Legacy, SolverBackend::Modern] {
-            let mut s = Solver::with_backend(backend);
-            let holes = 7u32;
-            let pigeons = 8u32;
-            let var = |p: u32, h: u32| Var(p * holes + h);
-            for _ in 0..pigeons * holes {
-                s.new_var();
-            }
-            for p in 0..pigeons {
-                let clause: Vec<Lit> = (0..holes).map(|h| Lit::pos(var(p, h))).collect();
-                s.add_clause(&clause);
-            }
-            for h in 0..holes {
-                for p1 in 0..pigeons {
-                    for p2 in (p1 + 1)..pigeons {
-                        s.add_clause(&[Lit::neg(var(p1, h)), Lit::neg(var(p2, h))]);
-                    }
+        // Pigeonhole 7 generates thousands of conflicts, well past the
+        // first reduction threshold.
+        let mut s = Solver::new();
+        let holes = 7u32;
+        let pigeons = 8u32;
+        let var = |p: u32, h: u32| Var(p * holes + h);
+        for _ in 0..pigeons * holes {
+            s.new_var();
+        }
+        for p in 0..pigeons {
+            let clause: Vec<Lit> = (0..holes).map(|h| Lit::pos(var(p, h))).collect();
+            s.add_clause(&clause);
+        }
+        for h in 0..holes {
+            for p1 in 0..pigeons {
+                for p2 in (p1 + 1)..pigeons {
+                    s.add_clause(&[Lit::neg(var(p1, h)), Lit::neg(var(p2, h))]);
                 }
             }
-            assert_eq!(s.solve(), SatResult::Unsat, "{backend}");
-            assert!(
-                s.stats().reductions >= 1,
-                "{backend}: reduction path not exercised ({} conflicts)",
-                s.stats().conflicts
-            );
         }
+        assert_eq!(s.solve(), SatResult::Unsat);
+        assert!(
+            s.stats().reductions >= 1,
+            "reduction path not exercised ({} conflicts)",
+            s.stats().conflicts
+        );
     }
 }

@@ -95,10 +95,6 @@ pub struct AttackJob {
     pub max_iters: usize,
     /// Sample count for skew scans and verification probes.
     pub samples: usize,
-    /// CDCL backend (`legacy` | `modern`); `None` = server default.
-    pub solver: Option<String>,
-    /// CNF encoder (`flat` | `aig`); `None` = server default.
-    pub encoder: Option<String>,
 }
 
 /// A request's operation.
@@ -354,12 +350,6 @@ impl Request {
                 pairs.push(("seed", num_v(job.seed)));
                 pairs.push(("max_iters", num_v(job.max_iters as u64)));
                 pairs.push(("samples", num_v(job.samples as u64)));
-                if let Some(solver) = &job.solver {
-                    pairs.push(("solver", str_v(solver)));
-                }
-                if let Some(encoder) = &job.encoder {
-                    pairs.push(("encoder", str_v(encoder)));
-                }
             }
             Op::Campaign { spec, shard } => {
                 pairs.push(("op", str_v("campaign")));
@@ -408,17 +398,26 @@ impl Request {
                 count: get_u64(v, "count")?,
                 seed: get_u64(v, "seed")?,
             },
-            "attack" => Op::Attack(AttackJob {
-                bench: get_str(v, "bench")?,
-                locker: get_str(v, "locker")?,
-                width: get_u64(v, "width")? as usize,
-                attack: get_str(v, "attack")?,
-                seed: get_u64(v, "seed")?,
-                max_iters: get_u64(v, "max_iters")? as usize,
-                samples: get_u64(v, "samples")? as usize,
-                solver: opt_str(v, "solver")?,
-                encoder: opt_str(v, "encoder")?,
-            }),
+            "attack" => {
+                // One solver profile and one CNF encoder serve every
+                // attack; a request that names either is refused rather
+                // than silently run on them.
+                if let Some(field) = ["solver", "encoder"]
+                    .into_iter()
+                    .find(|f| v.get(f).is_some())
+                {
+                    return Err(format!("attack field `{field}` is not supported"));
+                }
+                Op::Attack(AttackJob {
+                    bench: get_str(v, "bench")?,
+                    locker: get_str(v, "locker")?,
+                    width: get_u64(v, "width")? as usize,
+                    attack: get_str(v, "attack")?,
+                    seed: get_u64(v, "seed")?,
+                    max_iters: get_u64(v, "max_iters")? as usize,
+                    samples: get_u64(v, "samples")? as usize,
+                })
+            }
             "campaign" => Op::Campaign {
                 spec: get_str(v, "spec")?,
                 shard: match opt_str(v, "shard")? {

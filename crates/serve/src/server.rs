@@ -816,20 +816,6 @@ fn run_attack(attack: &AttackJob, token: &CancelToken) -> Reply {
     if let Err(e) = job::resolve_bench(&attack.bench) {
         return bad(e);
     }
-    let solver = match &attack.solver {
-        Some(tag) => match glitchlock_sat::SolverBackend::parse(tag) {
-            Some(solver) => solver,
-            None => return bad(format!("unknown solver `{tag}`")),
-        },
-        None => glitchlock_sat::SolverBackend::default(),
-    };
-    let encoder = match &attack.encoder {
-        Some(tag) => match glitchlock_sat::EncoderKind::parse(tag) {
-            Some(encoder) => encoder,
-            None => return bad(format!("unknown encoder `{tag}`")),
-        },
-        None => glitchlock_sat::EncoderKind::default(),
-    };
     let spec = JobSpec {
         bench: attack.bench.clone(),
         locker,
@@ -840,8 +826,6 @@ fn run_attack(attack: &AttackJob, token: &CancelToken) -> Reply {
     let tuning = Tuning {
         max_iterations: attack.max_iters,
         samples: attack.samples,
-        solver,
-        encoder,
     };
     let record = job::execute(&spec, &tuning, token);
     if token.is_cancelled() {

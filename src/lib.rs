@@ -9,7 +9,7 @@
 //! * [`netlist`] — gate-level IR, `.bench`/Verilog-lite I/O, cone analysis.
 //! * [`aig`] — And-Inverter Graph with complemented edges, structural
 //!   hashing, netlist lowering/re-emission, and output-cone extraction
-//!   (the substrate behind `--encoder aig` miters).
+//!   (the substrate behind every SAT miter's CNF encoding).
 //! * [`stdcell`] — synthetic 0.13µm-class standard-cell library.
 //! * [`sim`] — event-driven gate-level timing simulation (glitch-accurate).
 //! * [`sta`] — static timing analysis (arrival/required/slack, Eq. (1)).

@@ -201,24 +201,3 @@ fn point_function_lock_counts_a_single_solution() {
     }
     assert!(hit.is_some(), "no seed sampled the wrong key");
 }
-
-#[test]
-fn scores_survive_backend_and_encoder_swaps() {
-    use glitchlock::sat::{EncoderKind, SolverBackend};
-    let (locked, keys, oracle) = lock_s27("xor", 3, 5);
-    let mut all = Vec::new();
-    for solver in [SolverBackend::Legacy, SolverBackend::Modern] {
-        for encoder in [EncoderKind::Flat, EncoderKind::Aig] {
-            let cfg = ScoreConfig {
-                solver,
-                encoder,
-                seed: 5,
-                ..ScoreConfig::default()
-            };
-            all.push(corruption_scores(&locked, &keys, &oracle, &cfg).unwrap());
-        }
-    }
-    for s in &all[1..] {
-        assert_eq!(s, &all[0], "estimates must not depend on the backend");
-    }
-}

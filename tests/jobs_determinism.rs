@@ -98,45 +98,6 @@ fn report_is_independent_of_worker_count() {
     assert_eq!(serial.json, wide.json, "json report depends on --jobs");
 }
 
-/// Scheduling independence must hold per solver backend: the default spec
-/// (modern) is covered above; this pins the `solver legacy` directive and
-/// the `--solver` CLI override to the same contract.
-#[test]
-fn report_is_independent_of_worker_count_for_each_backend() {
-    for backend in ["legacy", "modern"] {
-        let spec = format!("{SPEC}solver {backend}\n");
-        let serial = campaign_with_spec(
-            &tempdir(&format!("{backend}-serial")),
-            "run",
-            &spec,
-            &["--jobs", "1"],
-        );
-        let wide = campaign_with_spec(
-            &tempdir(&format!("{backend}-wide")),
-            "run",
-            &spec,
-            &["--jobs", "8"],
-        );
-        assert!(!serial.text.is_empty() && !serial.json.is_empty());
-        assert_eq!(serial.text, wide.text, "{backend}: text depends on --jobs");
-        assert_eq!(serial.json, wide.json, "{backend}: json depends on --jobs");
-
-        // `--solver <backend>` on a directive-free spec is the same
-        // campaign as the inline directive: byte-identical reports.
-        let flagged = campaign_with_spec(
-            &tempdir(&format!("{backend}-flag")),
-            "run",
-            SPEC,
-            &["--jobs", "8", "--solver", backend],
-        );
-        assert_eq!(
-            flagged.text, wide.text,
-            "{backend}: --solver flag diverges from the spec directive"
-        );
-        assert_eq!(flagged.json, wide.json, "{backend}: flagged json diverged");
-    }
-}
-
 /// The corruptibility columns ride the same contract: rows are computed
 /// at render time from the spec alone, so worker counts, halts, resumes,
 /// and shard merges cannot move an estimate by a single byte.

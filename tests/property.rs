@@ -7,7 +7,7 @@ use glitchlock::core::encrypt_ff::{group_by_output_cone, FfGroup};
 use glitchlock::netlist::{
     bench_format, fanout_cone, output_reach, CellId, GateKind, Logic, NetId, Netlist, SeqState,
 };
-use glitchlock::sat::{encode_comb, Lit, SatResult, Solver};
+use glitchlock::sat::{encode_comb_with, Cnf, Lit, SatResult, Solver};
 use glitchlock::stdcell::Ps;
 use glitchlock::synth::{optimize, plan_chain};
 use glitchlock::{core::windows::GkTiming, stdcell::Library};
@@ -160,8 +160,8 @@ fn optimize_preserves_combinational_behaviour() {
     }
 }
 
-/// The Tseitin encoding agrees with direct evaluation for a random
-/// input pattern on a random circuit.
+/// The CNF encoding agrees with direct evaluation for a random input
+/// pattern on a random circuit.
 #[test]
 fn tseitin_agrees_with_evaluation() {
     let mut rng = StdRng::seed_from_u64(0x7517);
@@ -169,11 +169,12 @@ fn tseitin_agrees_with_evaluation() {
         let (n_inputs, nl) = draw_netlist(&mut rng, 5, 24);
         let pattern: u16 = rng.gen::<u16>();
         let view = glitchlock::netlist::CombView::new(&nl);
-        let enc = encode_comb(&nl, &view);
+        let mut cnf = Cnf::new();
+        let enc = encode_comb_with(&mut cnf, &nl, &view, &[]);
         let input_bools: Vec<bool> = (0..n_inputs).map(|i| pattern >> i & 1 == 1).collect();
         let logic: Vec<Logic> = input_bools.iter().map(|&b| Logic::from_bool(b)).collect();
         let expect = view.eval(&nl, &logic);
-        let mut solver = Solver::from_cnf(&enc.cnf);
+        let mut solver = Solver::from_cnf(&cnf);
         let assumptions: Vec<Lit> = enc
             .input_vars
             .iter()

@@ -48,8 +48,6 @@ fn workload(client: u64) -> Vec<Op> {
         seed: client + 1,
         max_iters: 64,
         samples: 256,
-        solver: None,
-        encoder: None,
     }));
     ops.push(Op::OracleSweep {
         design: "s27".to_string(),

@@ -73,8 +73,6 @@ fn all_requests() -> Vec<Request> {
             seed: 1,
             max_iters: 64,
             samples: 256,
-            solver: None,
-            encoder: None,
         }),
         Op::Attack(AttackJob {
             bench: "c17".to_string(),
@@ -84,8 +82,6 @@ fn all_requests() -> Vec<Request> {
             seed: 99,
             max_iters: 512,
             samples: 1024,
-            solver: Some("modern".to_string()),
-            encoder: Some("aig".to_string()),
         }),
         Op::Campaign {
             spec: "bench s27\nlocker xor 3\nattack sat\n".to_string(),
@@ -307,6 +303,23 @@ fn malformed_payloads_get_typed_errors_and_the_connection_survives() {
             reply: Reply::Pong
         }
     );
+}
+
+#[test]
+fn attack_requests_naming_a_solver_or_encoder_are_refused() {
+    let server = start(ServerConfig::default(), Arc::new(Collector::new())).expect("start");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let job = r#""op":"attack","bench":"s27","locker":"xor","width":4,"attack":"sat","seed":1,"max_iters":64,"samples":256"#;
+    for (id, field) in [(5u64, r#""solver":"legacy""#), (6, r#""encoder":"flat""#)] {
+        let payload = format!("{{\"id\":{id},{job},{field}}}");
+        let response = raw_exchange(&mut stream, payload.as_bytes());
+        assert_eq!(response.id, id);
+        let Reply::Error { code, message } = response.reply else {
+            panic!("{field}: expected an error reply");
+        };
+        assert_eq!(code, ErrorCode::BadRequest, "{field}");
+        assert!(message.contains("is not supported"), "{field}: {message}");
+    }
 }
 
 #[test]
