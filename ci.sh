@@ -197,6 +197,14 @@ python3 perfbench/run.py --workload lock-flow --seed 1 --seconds 3 --trace 0 \
 tail -n 1 "$WORK/perfbench.out" | grep -q '"correct": true'
 tail -n 1 "$WORK/perfbench.out" | grep -q '"failed": 0,'
 
+# perfbench oracle-serve smoke: a short run against the daemon (bulk and
+# single requests through the codec and the batcher) must check every
+# reply bit for bit and fail none. Correctness only; no wall-time gate.
+python3 perfbench/run.py --workload oracle-serve --seed 1 --seconds 3 --trace 0 \
+    > "$WORK/perfbench-serve.out"
+tail -n 1 "$WORK/perfbench-serve.out" | grep -q '"correct": true'
+tail -n 1 "$WORK/perfbench-serve.out" | grep -q '"failed": 0,'
+
 # sat_solver bench smoke: trimmed equivalence tier, 1 ms measurement
 # windows, no snapshot rewrite — proves the harness (micro tier and
 # equivalence tier) runs end to end.

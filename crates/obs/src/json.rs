@@ -106,6 +106,7 @@ fn write_value(out: &mut String, v: &Value) {
 /// garbage.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -119,6 +120,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -191,50 +193,68 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("utf8");
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next `"` or `\` in one piece. Both are
+            // ASCII, so the run ends on a char boundary of the input.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            let letter = self.bytes.get(self.pos + 1).copied();
+            self.pos += 2;
+            out.push(match letter {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => self.unicode_escape()?,
+                _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
+            });
         }
+    }
+
+    /// Decodes the four hex digits after a `\u`, joining a UTF-16
+    /// surrogate pair written as two escapes into one scalar. A lone
+    /// surrogate becomes U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = self.hex4()?;
+        if (0xd800..0xdc00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let high_end = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xdc00..0xe000).contains(&low) {
+                let scalar = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                return Ok(char::from_u32(scalar).expect("surrogate pair is a scalar"));
+            }
+            // Not a low surrogate: leave that escape for the next round.
+            self.pos = high_end;
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// Exactly four hex digits (no sign, unlike `u32::from_str_radix`).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let mut code = 0;
+        for &d in digits {
+            let nibble = char::from(d).to_digit(16).ok_or("bad \\u escape")?;
+            code = code << 4 | nibble;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -321,6 +341,113 @@ mod tests {
                 assert_eq!(items[1], Value::Num(-25.0));
             }
             other => panic!("bad arr: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn joins_surrogate_pairs_and_replaces_lone_ones() {
+        let decode = |text: &str| parse(text).expect("parses");
+        let string = |s: &str| Value::Str(s.to_string());
+        assert_eq!(decode(r#""\ud83d\ude00""#), string("\u{1f600}"));
+        assert_eq!(decode(r#""a\uD834\uDD1Eb""#), string("a\u{1d11e}b"));
+        assert_eq!(decode(r#""\ud83d""#), string("\u{fffd}"));
+        assert_eq!(decode(r#""\ude00x""#), string("\u{fffd}x"));
+        // A high surrogate followed by a non-surrogate escape keeps both.
+        assert_eq!(decode(r#""\ud83d\u0041""#), string("\u{fffd}A"));
+        assert_eq!(
+            decode(r#""\ud83d\ud83d\ude00""#),
+            string("\u{fffd}\u{1f600}")
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u004""#).is_err());
+        assert!(parse(r#""\u00g1""#).is_err());
+        assert!(parse(r#""\ud83d\u+e00""#).is_err());
+        assert!(parse("\"\\").is_err());
+        assert!(parse("\"abc").is_err());
+        assert_eq!(
+            parse(r#""\u00e9""#).unwrap(),
+            Value::Str("\u{e9}".to_string())
+        );
+    }
+
+    /// One random piece of string content: the JSON text that spells it
+    /// and the text it decodes to.
+    fn piece(rng: &mut u64) -> (String, String) {
+        let mut next = |n: u64| {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng % n
+        };
+        let escapes = [
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\n", "\n"),
+            ("\\r", "\r"),
+            ("\\t", "\t"),
+            ("\\b", "\u{8}"),
+            ("\\f", "\u{c}"),
+            ("\\u0001", "\u{1}"),
+            ("\\u00E9", "\u{e9}"),
+            ("\\u20ac", "\u{20ac}"),
+        ];
+        match next(6) {
+            0 => {
+                let run: String = (0..next(200))
+                    .map(|_| char::from(b' ' + next(95) as u8))
+                    .filter(|&c| c != '"' && c != '\\')
+                    .collect();
+                (run.clone(), run)
+            }
+            1 => {
+                let (text, decoded) = escapes[next(escapes.len() as u64) as usize];
+                (text.to_string(), decoded.to_string())
+            }
+            2 => {
+                let c = char::from_u32(0x80 + next(0x780) as u32).expect("2-byte scalar");
+                (c.to_string(), c.to_string())
+            }
+            3 => {
+                let c = char::from_u32(0x800 + next(0xd000) as u32).expect("3-byte scalar");
+                (c.to_string(), c.to_string())
+            }
+            4 => {
+                let c = char::from_u32(0x10000 + next(0x100000) as u32).expect("4-byte scalar");
+                (c.to_string(), c.to_string())
+            }
+            _ => {
+                let c = char::from_u32(0x10000 + next(0x100000) as u32).expect("4-byte scalar");
+                let mut units = [0u16; 2];
+                c.encode_utf16(&mut units);
+                (
+                    format!("\\u{:04x}\\u{:04X}", units[0], units[1]),
+                    c.to_string(),
+                )
+            }
+        }
+    }
+
+    #[test]
+    fn strings_round_trip_up_to_64k() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for case in 0..48u32 {
+            // Lengths spread geometrically from empty to ~64K bytes.
+            let target = if case == 0 { 0 } else { 1usize << (case % 17) };
+            let (mut text, mut decoded) = (String::from("\""), String::new());
+            while text.len() < target {
+                let (t, d) = piece(&mut rng);
+                text.push_str(&t);
+                decoded.push_str(&d);
+            }
+            text.push('"');
+            assert_eq!(parse(&text), Ok(Value::Str(decoded.clone())), "case {case}");
+            let rendered = Value::Str(decoded.clone()).to_string();
+            assert_eq!(parse(&rendered), Ok(Value::Str(decoded)), "case {case}");
         }
     }
 }

@@ -4,15 +4,12 @@
 //! a single batch worker drains the queue, groups items by design, packs
 //! the patterns into 64-lane words, and runs the compiled evaluator once
 //! per 64 patterns — so ten clients asking 6 patterns each cost one pass,
-//! not ten. Two knobs bound the batcher:
-//!
-//! * **queue cap** (`max_queue_patterns`): `submit` refuses work beyond it
-//!   ([`Submit::Busy`]) instead of queuing unboundedly — the caller turns
-//!   that into a `busy` response and the client retries after draining.
-//! * **flush deadline** (`flush_micros`): with fewer than [`LANES`]
-//!   patterns queued the worker waits this long for more work to coalesce
-//!   before evaluating a partial batch, trading a bounded latency bump for
-//!   lane utilization.
+//! not ten. The worker never holds a partial batch: it evaluates whatever
+//! is queued the moment it wakes, and work that arrives while it
+//! evaluates is coalesced on its next drain. One knob bounds the batcher:
+//! the **queue cap** (`max_queue_patterns`). `submit` refuses work beyond
+//! it ([`Submit::Busy`]) instead of queuing unboundedly — the caller turns
+//! that into a `busy` response and the client retries after draining.
 //!
 //! Results return through a per-item callback, invoked on the batch
 //! worker under the server's obs collector.
@@ -22,7 +19,6 @@ use glitchlock_obs::{self as obs, names, SharedCollector};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// A design loaded for serving: the owned netlist plus its combinational
 /// view and compiled bit-parallel program, shared across connections.
@@ -120,16 +116,12 @@ pub enum Submit {
 pub struct BatcherConfig {
     /// Pattern cap across all queued items; `submit` beyond it is `Busy`.
     pub max_queue_patterns: usize,
-    /// How long a partial (< [`LANES`] patterns) batch waits for company
-    /// before flushing anyway.
-    pub flush_micros: u64,
 }
 
 impl Default for BatcherConfig {
     fn default() -> Self {
         BatcherConfig {
             max_queue_patterns: 1 << 16,
-            flush_micros: 200,
         }
     }
 }
@@ -235,16 +227,6 @@ fn run_worker(shared: &Shared) {
                     return;
                 }
                 queue = shared.wake.wait(queue).expect("batcher queue mutex");
-            }
-            // Partial batch: hold the flush briefly so concurrent clients
-            // can fill lanes. A full batch (or shutdown) flushes at once.
-            if queue.queued_patterns < LANES && !shared.stop.load(Ordering::SeqCst) {
-                let hold = Duration::from_micros(shared.config.flush_micros);
-                let (q, _timeout) = shared
-                    .wake
-                    .wait_timeout(queue, hold)
-                    .expect("batcher queue mutex");
-                queue = q;
             }
             queue.queued_patterns = 0;
             queue.items.drain(..).collect()
@@ -368,7 +350,6 @@ mod tests {
         let batcher = Batcher::start(
             BatcherConfig {
                 max_queue_patterns: 8,
-                flush_micros: 0,
             },
             collector,
         );

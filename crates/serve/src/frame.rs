@@ -51,7 +51,8 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Writes one frame: length header, then the payload.
+/// Writes one frame: length header, then the payload, in a single write
+/// (on a `TCP_NODELAY` socket two writes would cost two segments).
 ///
 /// # Errors
 ///
@@ -62,8 +63,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
         len: payload.len(),
         max: u32::MAX as usize,
     })?;
-    w.write_all(&len.to_be_bytes()).map_err(FrameError::Io)?;
-    w.write_all(payload).map_err(FrameError::Io)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame).map_err(FrameError::Io)?;
     w.flush().map_err(FrameError::Io)
 }
 

@@ -15,7 +15,7 @@
 //! * [`batcher`] — the throughput core: oracle work from all connections
 //!   funnels into one queue, and a batch worker packs queued patterns —
 //!   across connections — into 64-lane evaluator passes (bounded queue,
-//!   flush-on-deadline for partial batches).
+//!   drained whole each time the worker wakes).
 //! * [`server`] — accept loop, per-connection threads, per-connection
 //!   in-flight windows with explicit `busy` responses, and hard-kill
 //!   supervision for heavy jobs, mirroring the campaign pool.

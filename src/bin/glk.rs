@@ -73,8 +73,7 @@ usage: glk <subcommand> …
                   [--journal PATH] [--halt-after N] [--shard I/N]
                   [--merge-journals a.jsonl,b.jsonl,…] [OBS]
   glk serve       [--addr HOST:PORT] [--max-inflight N] [--max-jobs N]
-                  [--job-timeout-secs N] [--flush-micros N] [--allow-debug]
-                  [OBS]
+                  [--job-timeout-secs N] [--allow-debug] [OBS]
   glk query       <addr> ping|metrics|shutdown
   glk query       <addr> load-bench <name> | load-netlist <name> <in.bench>
   glk query       <addr> oracle <design> <bits> | oracle-bulk <design> <bits>…
@@ -1309,7 +1308,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .map_err(|_| format!("--job-timeout-secs expects a number, got {secs:?}"))?;
         config.job_timeout = std::time::Duration::from_secs(secs);
     }
-    config.batcher.flush_micros = args.num("flush-micros", config.batcher.flush_micros)?;
 
     let handle = serve::start(config, obs::global().clone())?;
     println!("serve: listening on {}", handle.addr());

@@ -201,6 +201,50 @@ fn every_response_round_trips_through_the_full_wire_path() {
     }
 }
 
+/// `count` seeded bit-strings of `width` bits.
+fn bit_strings(count: usize, width: usize, seed: u64) -> Vec<String> {
+    let mut state = seed | 1;
+    (0..count)
+        .map(|_| {
+            (0..width)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    if state >> 63 == 0 {
+                        '0'
+                    } else {
+                        '1'
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn a_4096_pattern_bulk_exchange_round_trips_byte_identical() {
+    let request = Request {
+        id: 7,
+        op: Op::OracleBulk {
+            design: "s1238".to_string(),
+            patterns: bit_strings(4096, 32, 1),
+        },
+    };
+    let response = Response {
+        id: 7,
+        reply: Reply::OracleBulk {
+            outputs: bit_strings(4096, 32, 2),
+        },
+    };
+    let payload = request.encode();
+    let back = Request::decode(&payload).expect("decode request");
+    assert_eq!(back, request);
+    assert_eq!(back.encode(), payload);
+    let payload = response.encode();
+    let back = Response::decode(&payload).expect("decode response");
+    assert_eq!(back, response);
+    assert_eq!(back.encode(), payload);
+}
+
 #[test]
 fn every_error_code_tag_round_trips() {
     for response in all_responses() {
