@@ -50,6 +50,13 @@ for locked in "$WORK"/*.locked.bench; do
         --deny key-constant-collapsed,key-taint-dead,point-function-structure,key-partition-disjoint
 done
 
+# Strict-flag gate: a flag that `glk help` does not list for the
+# subcommand is a usage error (exit 2), not a run on defaults. Every other
+# `glk` invocation in this script is the gate's positive half.
+STATUS=0
+"$GLK" attack "$WORK/plain.attack.bench" "$WORK/s27.bench" --solver legacy || STATUS=$?
+test "$STATUS" -eq 2
+
 # Dataflow-analysis gate: `glk analyze` runs on each locked design and its
 # `analysis.*` probes must all fire (dead-probe detection for the engine).
 "$GLK" analyze "$WORK/plain.locked.bench" --format json --nets \

@@ -179,27 +179,6 @@ impl Bencher {
     }
 }
 
-/// Mirrors `criterion_group!`: defines a runner over benchmark functions.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut c = $crate::harness::Criterion::new();
-            $( $target(&mut c); )+
-        }
-    };
-}
-
-/// Mirrors `criterion_main!`: the bench entry point.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:ident),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,8 +12,8 @@
 //! * `figures` — textual reproductions of the timing diagrams and window
 //!   analyses of Figs. 4, 6, 7 and 9.
 //!
-//! Benches (`cargo bench -p glitchlock-bench`): `sat_solver`, `simulator`,
-//! `locking`, `attack`, `packed_eval`.
+//! Benches (`cargo bench -p glitchlock-bench`): `sat_solver` and
+//! `packed_eval`, which write `BENCH_sat.json` and `BENCH_packed_eval.json`.
 
 #![deny(missing_docs)]
 

@@ -1,6 +1,7 @@
 //! Human-readable and JSON renderers for lint reports.
 
 use crate::{LintReport, Severity};
+use glitchlock_obs::write_json_str;
 use std::fmt::Write as _;
 
 /// Renders a report the way a compiler prints diagnostics: one line per
@@ -49,45 +50,24 @@ pub fn render_json(report: &LintReport) -> String {
             Severity::Warning => "warning",
             Severity::Error => "error",
         };
-        let _ = write!(
-            out,
-            "{{\"code\": {}, \"severity\": {}, \"cell\": {}, \"net\": {}, \"message\": {}, \"suggestion\": {}}}",
-            json_str(d.code),
-            json_str(severity),
-            json_opt(&d.location.cell),
-            json_opt(&d.location.net),
-            json_str(&d.message),
-            json_opt(&d.suggestion),
-        );
+        let fields = [
+            ("code", Some(d.code)),
+            ("severity", Some(severity)),
+            ("cell", d.location.cell.as_deref()),
+            ("net", d.location.net.as_deref()),
+            ("message", Some(d.message.as_str())),
+            ("suggestion", d.suggestion.as_deref()),
+        ];
+        for (j, (key, value)) in fields.into_iter().enumerate() {
+            let _ = write!(out, "{}\"{key}\": ", if j == 0 { "{" } else { ", " });
+            match value {
+                Some(text) => write_json_str(&mut out, text),
+                None => out.push_str("null"),
+            }
+        }
+        out.push('}');
     }
     out.push_str("]}");
-    out
-}
-
-fn json_opt(s: &Option<String>) -> String {
-    match s {
-        Some(s) => json_str(s),
-        None => "null".to_string(),
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -95,6 +75,13 @@ fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::{diagnostic, Diagnostic, Location};
+
+    /// The escaper `render_json` writes every string through.
+    fn json_str(s: &str) -> String {
+        let mut out = String::new();
+        write_json_str(&mut out, s);
+        out
+    }
 
     fn sample() -> LintReport {
         LintReport {

@@ -44,7 +44,7 @@ pub mod schema;
 mod sink;
 
 pub use collector::{Collector, SharedCollector};
-pub use event::{Event, FieldValue};
+pub use event::{write_json_str, Event, FieldValue};
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, Registry};
 pub use report::MetricsReport;
 pub use sink::{JsonlSink, MemSink, NullSink, Sink};

@@ -1,8 +1,10 @@
 //! `glk` — the glitchlock command-line tool.
 //!
-//! Operates on ISCAS `.bench` netlists:
-//!
-//! See [`USAGE`] (printed by `glk help`) for the full subcommand list.
+//! Operates on ISCAS `.bench` netlists. [`USAGE`] (printed by `glk help`)
+//! is the one declaration of every subcommand and the flags it accepts:
+//! [`Args::parse`] reads a subcommand's lines from it, so what `glk help`
+//! prints is exactly what `glk` accepts. An unknown flag, or a value flag
+//! given no value, is a usage error (exit code 2); a failing command exits 1.
 //!
 //! `lock-gk` writes `<out-prefix>.locked.bench` (with KEYGENs),
 //! `<out-prefix>.attack.bench` (the attacker's view) and prints the key.
@@ -16,13 +18,10 @@
 //! reachability — which primary outputs each bit can still influence after
 //! semantic laundering — plus, with `--nets`, per-net lattice facts.
 //!
-//! `attack`, `sim`, `lock-gk`, `analyze`, `fuzz` and `campaign` accept the
-//! observability flags
-//! `--trace out.jsonl` (structured JSON-lines event trace), `--metrics`
-//! (end-of-run metrics report) and `--metrics-format json|text`;
-//! `glk trace-check` validates a trace against the schema and, with
-//! `--sites <domain>`, fails on dead probes (expected metrics that read
-//! zero).
+//! The subcommands marked `[OBS]` in [`USAGE`] accept the observability
+//! flags listed at its end; `glk trace-check` validates a trace against
+//! the schema and, with `--sites <domain>`, fails on dead probes (expected
+//! metrics that read zero).
 
 use glitchlock::attacks::sat_attack::SatOutcome;
 use glitchlock::attacks::SatAttack;
@@ -40,7 +39,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
 
-/// Full usage text, printed by `glk help` (and with any usage error).
+/// Full usage text, printed by `glk help` and when the subcommand is
+/// missing. It is also the declaration [`Accepted::of`] reads each
+/// subcommand's flags from.
 const USAGE: &str = "\
 usage: glk <subcommand> …
 
@@ -82,7 +83,7 @@ usage: glk <subcommand> …
                   [--seed S] [--max-iters N] [--samples N]
   glk query       <addr> campaign --spec <spec.txt> [--shard I/N]
                   [--journal PATH]
-  glk query       <addr> sleep [--ms N]   (servers started with --allow-debug)
+  glk query       <addr> sleep [--ms N]
   glk trace-check <trace.jsonl> [--sites attack|sim|lock-gk|analyze|fuzz|campaign|serve|count]
   glk help
 
@@ -90,10 +91,28 @@ OBS (observability) flags, accepted where marked:
   --trace out.jsonl         write a structured JSON-lines event trace
   --metrics                 print an end-of-run metrics report
   --metrics-format json|text  report format (default text; json is one line)
+
+`query sleep` is refused unless the server was started with --allow-debug.
 ";
 
 fn main() -> ExitCode {
-    match run() {
+    let mut argv = std::env::args().skip(1);
+    let sub = match argv.next().as_deref() {
+        None => {
+            eprintln!("glk: missing subcommand (try `glk help`)\n{USAGE}");
+            return ExitCode::from(2);
+        }
+        Some("--help" | "-h") => "help".to_string(),
+        Some(sub) => sub.to_string(),
+    };
+    let args = match Args::parse(&sub, argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("glk: {e} (try `glk help`)");
+            return ExitCode::from(2);
+        }
+    };
+    match run(&sub, &args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("glk: {e}");
@@ -102,159 +121,202 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags one subcommand accepts, read from its `glk <sub>` lines (and
+/// their indented continuation lines) in [`USAGE`]: `--name` followed by a
+/// metavar takes one value, `[--name]` and `[--a|--b]` are switches, and
+/// `[OBS]` adds the flags of the OBS block.
+#[derive(Default)]
+struct Accepted {
+    /// Each declared flag, and whether it takes a value.
+    flags: Vec<(&'static str, bool)>,
+    obs: bool,
+}
+
+impl Accepted {
+    /// `None` when [`USAGE`] has no `glk <sub>` line.
+    fn of(sub: &str) -> Option<Accepted> {
+        let mut accepted = Accepted::default();
+        let (mut found, mut in_sub) = (false, false);
+        for line in USAGE.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("glk ") {
+                in_sub = rest.split_whitespace().next() == Some(sub);
+                found |= in_sub;
+            } else if !line.starts_with(' ') {
+                in_sub = false;
+            }
+            if in_sub {
+                accepted.declare(line);
+            }
+        }
+        if accepted.obs {
+            // Each OBS line is `--name [metavar]`, then a gap of two or more
+            // spaces before its description.
+            let block = USAGE.lines().skip_while(|l| !l.starts_with("OBS"));
+            for line in block.skip(1).take_while(|l| l.starts_with("  --")) {
+                accepted.declare(line.trim().split("  ").next().unwrap_or_default());
+            }
+        }
+        found.then_some(accepted)
+    }
+
+    fn declare(&mut self, text: &'static str) {
+        let mut tokens = text.split_whitespace().peekable();
+        while let Some(token) = tokens.next() {
+            self.obs |= token == "[OBS]";
+            if let Some(decl) = token.trim_start_matches('[').strip_prefix("--") {
+                let value = !decl.ends_with(']') && tokens.peek().is_some();
+                let names = decl.trim_end_matches(']').split('|');
+                self.flags
+                    .extend(names.map(|n| (n.trim_start_matches("--"), value)));
+            }
+        }
+    }
+
+    /// Whether `--name` takes a value; `None` when it is not declared.
+    fn takes_value(&self, name: &str) -> Option<bool> {
+        self.flags.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    }
+}
+
 struct Args {
+    accepted: Accepted,
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(raw: impl Iterator<Item = String>) -> Args {
+    /// Splits `raw` into positionals and the flags [`USAGE`] declares for
+    /// `sub`; an undeclared flag, or a value flag with no value after it,
+    /// is an error.
+    fn parse(sub: &str, raw: impl Iterator<Item = String>) -> Result<Args, String> {
+        let accepted = Accepted::of(sub).ok_or_else(|| format!("unknown subcommand {sub:?}"))?;
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut raw = raw.peekable();
         while let Some(a) = raw.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = raw
-                    .peek()
-                    .filter(|v| !v.starts_with("--"))
-                    .cloned()
-                    .inspect(|_v| {
-                        raw.next();
-                    });
-                flags.push((name.to_string(), value));
-            } else {
+            let Some(name) = a.strip_prefix("--") else {
                 positional.push(a);
-            }
+                continue;
+            };
+            let value = match accepted.takes_value(name) {
+                None => return Err(format!("unknown flag --{name} for `glk {sub}`")),
+                Some(false) => None,
+                Some(true) => Some(
+                    raw.next_if(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("--{name} of `glk {sub}` expects a value"))?,
+                ),
+            };
+            flags.push((name.to_string(), value));
         }
-        Args { positional, flags }
+        Ok(Args {
+            accepted,
+            positional,
+            flags,
+        })
     }
 
-    fn flag(&self, name: &str) -> Option<&str> {
+    /// Every value given to `--name`, in command-line order.
+    fn values<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        debug_assert!(
+            self.accepted.takes_value(name).is_some(),
+            "--{name} is not in USAGE"
+        );
         self.flags
             .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+            .filter(move |(n, _)| n == name)
+            .filter_map(|(_, v)| v.as_deref())
+    }
+
+    fn flag<'a>(&'a self, name: &'a str) -> Option<&'a str> {
+        self.values(name).next()
+    }
+
+    fn required<'a>(&'a self, name: &'a str) -> Result<&'a str, String> {
+        self.flag(name).ok_or_else(|| format!("missing --{name}"))
     }
 
     fn has(&self, name: &str) -> bool {
+        debug_assert!(
+            self.accepted.takes_value(name).is_some(),
+            "--{name} is not in USAGE"
+        );
         self.flags.iter().any(|(n, _)| n == name)
     }
 
+    fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("--{name} expects a number, got {v:?}"))
+        };
+        self.flag(name).map(parse).transpose()
+    }
+
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flag(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects a number, got {v:?}")),
-        }
+        Ok(self.opt_num(name)?.unwrap_or(default))
     }
 }
 
-fn run() -> Result<(), String> {
-    let mut argv = std::env::args().skip(1);
-    let Some(cmd) = argv.next() else {
-        return Err(format!("missing subcommand (try `glk help`)\n{USAGE}"));
-    };
-    let args = Args::parse(argv);
-    match cmd.as_str() {
-        "stats" => cmd_stats(&args),
-        "sta" => cmd_sta(&args),
-        "feasibility" => cmd_feasibility(&args),
-        "lock-xor" => cmd_lock_xor(&args),
-        "lock-gk" => with_obs(&args, || cmd_lock_gk(&args)),
-        "attack" => with_obs(&args, || cmd_attack(&args)),
-        "count" => with_obs(&args, || cmd_count(&args)),
-        "sim" => with_obs(&args, || cmd_sim(&args)),
-        "verify" => cmd_verify(&args),
-        "lint" => cmd_lint(&args),
-        "analyze" => with_obs(&args, || cmd_analyze(&args)),
-        "synth" => cmd_synth(&args),
-        "lib" => cmd_lib(&args),
-        "fuzz" => with_obs(&args, || cmd_fuzz(&args)),
-        "campaign" => with_obs(&args, || cmd_campaign(&args)),
-        "serve" => with_obs(&args, || cmd_serve(&args)),
-        "query" => cmd_query(&args),
-        "trace-check" => cmd_trace_check(&args),
-        "help" | "--help" | "-h" => {
+fn run(sub: &str, args: &Args) -> Result<(), String> {
+    let body: fn(&Args) -> Result<(), String> = match sub {
+        "stats" => cmd_stats,
+        "sta" => cmd_sta,
+        "feasibility" => cmd_feasibility,
+        "lock-xor" => cmd_lock_xor,
+        "lock-gk" => cmd_lock_gk,
+        "attack" => cmd_attack,
+        "count" => cmd_count,
+        "sim" => cmd_sim,
+        "verify" => cmd_verify,
+        "lint" => cmd_lint,
+        "analyze" => cmd_analyze,
+        "synth" => cmd_synth,
+        "lib" => cmd_lib,
+        "fuzz" => cmd_fuzz,
+        "campaign" => cmd_campaign,
+        "serve" => cmd_serve,
+        "query" => cmd_query,
+        "trace-check" => cmd_trace_check,
+        "help" => |_| {
             print!("{USAGE}");
             Ok(())
-        }
-        other => Err(format!("unknown subcommand {other:?} (try `glk help`)")),
+        },
+        other => unreachable!("`glk {other}` is in USAGE but has no command"),
+    };
+    if args.accepted.obs {
+        with_obs(args, || body(args))
+    } else {
+        body(args)
     }
 }
 
-/// How `--metrics` output is rendered.
-enum MetricsFormat {
-    Text,
-    Json,
-}
-
-/// Observability flags shared by `attack`, `sim`, `lock-gk` and `fuzz`:
-/// parses `--trace`/`--metrics`/`--metrics-format`, installs the JSONL
-/// sink on the global collector up front, and after the command body runs
-/// flushes metric lines into the trace and prints the requested report.
-struct ObsCli {
-    metrics: Option<MetricsFormat>,
-    tracing: bool,
-}
-
-impl ObsCli {
-    fn from_args(args: &Args) -> Result<ObsCli, String> {
-        let tracing = match args.flag("trace") {
-            Some(path) => {
-                let sink = obs::JsonlSink::create(std::path::Path::new(path))
-                    .map_err(|e| format!("opening trace file {path}: {e}"))?;
-                obs::global().set_sink(Box::new(sink));
-                true
-            }
-            None => {
-                if args.has("trace") {
-                    return Err("--trace expects an output path".into());
-                }
-                false
-            }
-        };
-        let metrics = if args.has("metrics") {
-            Some(match args.flag("metrics-format").unwrap_or("text") {
-                "text" => MetricsFormat::Text,
-                "json" => MetricsFormat::Json,
-                other => {
-                    return Err(format!(
-                        "--metrics-format expects json or text, got {other:?}"
-                    ))
-                }
-            })
-        } else {
-            None
-        };
-        Ok(ObsCli { metrics, tracing })
-    }
-
-    fn finish(self) {
-        let collector = obs::global();
-        if self.tracing {
-            collector.finish();
-        }
-        match self.metrics {
-            Some(MetricsFormat::Text) => print!("{}", collector.report().render_text()),
-            Some(MetricsFormat::Json) => println!("{}", collector.report().render_json()),
-            None => {}
-        }
-    }
-}
-
-/// Runs a command body under the observability flags: the trace sink is
-/// live before the body starts, and metric lines / the report are emitted
-/// even when the body fails (a failing fuzz run still writes its trace).
+/// Runs the body of a subcommand marked `[OBS]` under the OBS flags:
+/// `--trace` installs the JSONL sink on the global collector before the
+/// body starts; afterwards metric lines are flushed into the trace and the
+/// `--metrics` report is printed, even when the body fails (a failing fuzz
+/// run still writes its trace).
 fn with_obs(args: &Args, body: impl FnOnce() -> Result<(), String>) -> Result<(), String> {
-    let obs_cli = ObsCli::from_args(args)?;
+    if let Some(path) = args.flag("trace") {
+        let sink = obs::JsonlSink::create(std::path::Path::new(path))
+            .map_err(|e| format!("opening trace file {path}: {e}"))?;
+        obs::global().set_sink(Box::new(sink));
+    }
+    let metrics_json = args
+        .has("metrics")
+        .then(|| json_format(args, "metrics-format"))
+        .transpose()?;
     let result = body();
-    obs_cli.finish();
+    let collector = obs::global();
+    if args.has("trace") {
+        collector.finish();
+    }
+    match metrics_json {
+        Some(false) => print!("{}", collector.report().render_text()),
+        Some(true) => println!("{}", collector.report().render_json()),
+        None => {}
+    }
     result
 }
 
-/// `glk trace-check <trace.jsonl> [--sites attack|sim|lock-gk|fuzz]`
-///
 /// Validates every line of a trace against the schema (kind/name/ts,
 /// monotone timestamps) and summarizes it. With `--sites`, additionally
 /// requires every probe that a healthy run of the domain must fire to
@@ -263,7 +325,7 @@ fn cmd_trace_check(args: &Args) -> Result<(), String> {
     use glitchlock::obs::names;
 
     let path = need(args, 0, "trace .jsonl")?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+    let text = read(&path)?;
     let summary = obs::schema::check_trace(&text).map_err(|e| format!("{path}: {e}"))?;
     println!("{path}: {} schema-valid line(s)", summary.lines);
     for (kind, count) in &summary.kinds {
@@ -295,10 +357,15 @@ fn cmd_trace_check(args: &Args) -> Result<(), String> {
 /// Loads a `.bench` file, resolving `# $lib=` binding pragmas against the
 /// default library (they carry the GK delay elements across files).
 fn load(path: &str) -> Result<Netlist, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let text = read(path)?;
     let lib = Library::cl013g_like().with_gk_delay_macros();
     bench_format::parse_with_bindings(&text, path, &|name| lib.by_name(name))
         .map_err(|e| format!("parsing {path}: {e}"))
+}
+
+/// Reads a whole text file; the error names the path.
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
 }
 
 /// Saves a `.bench` file with binding pragmas.
@@ -393,17 +460,12 @@ fn cmd_lock_xor(args: &Args) -> Result<(), String> {
         .lock(&nl, &mut rng)
         .map_err(|e| e.to_string())?;
     save(&out, &locked.netlist)?;
-    let key: String = locked
-        .correct_key
-        .iter()
-        .map(|&b| if b { '1' } else { '0' })
-        .collect();
     println!("locked with {bits} XOR/XNOR key-gates -> {out}");
     println!(
         "key inputs : {}",
         names(&locked.netlist, &locked.key_inputs)
     );
-    println!("correct key: {key}");
+    println!("correct key: {}", bit_string(&locked.correct_key));
     Ok(())
 }
 
@@ -424,11 +486,7 @@ fn cmd_lock_gk(args: &Args) -> Result<(), String> {
         let xl = XorLock::new(xor_bits)
             .lock(&nl, &mut rng)
             .map_err(|e| e.to_string())?;
-        let key: String = xl
-            .correct_key
-            .iter()
-            .map(|&b| if b { '1' } else { '0' })
-            .collect();
+        let key = bit_string(&xl.correct_key);
         (xl.netlist, Some(key))
     } else {
         (nl, None)
@@ -459,7 +517,7 @@ fn cmd_lock_gk(args: &Args) -> Result<(), String> {
     );
     println!("correct key: {}", locked.correct_key);
     if let Some(bools) = locked.correct_key.as_bools() {
-        let compact: String = bools.iter().map(|&b| if b { '1' } else { '0' }).collect();
+        let compact = bit_string(&bools);
         println!("verify with: glk verify {locked_path} <original> --key {compact}");
     }
     for (i, gk) in locked.gks.iter().enumerate() {
@@ -471,10 +529,12 @@ fn cmd_lock_gk(args: &Args) -> Result<(), String> {
     lint_audit(&locked.netlist, period)
 }
 
-fn cmd_attack(args: &Args) -> Result<(), String> {
-    let locked = load(&need(args, 0, "locked .bench")?)?;
-    let oracle = load(&need(args, 1, "oracle .bench")?)?;
-    let prefix = args.flag("key-prefix").unwrap_or("key");
+/// The primary inputs of `locked` named with `prefix` or `gk`: the key an
+/// attack or a count works on.
+fn attack_key_inputs(
+    locked: &Netlist,
+    prefix: &str,
+) -> Result<Vec<glitchlock::netlist::NetId>, String> {
     let key_inputs: Vec<_> = locked
         .input_nets()
         .iter()
@@ -487,6 +547,13 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
     if key_inputs.is_empty() {
         return Err(format!("no key inputs matched prefix {prefix:?} or 'gk'"));
     }
+    Ok(key_inputs)
+}
+
+fn cmd_attack(args: &Args) -> Result<(), String> {
+    let locked = load(&need(args, 0, "locked .bench")?)?;
+    let oracle = load(&need(args, 1, "oracle .bench")?)?;
+    let key_inputs = attack_key_inputs(&locked, args.flag("key-prefix").unwrap_or("key"))?;
     println!(
         "attacking {} key inputs: {}",
         key_inputs.len(),
@@ -495,8 +562,11 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
     let result = SatAttack::new(&locked, key_inputs, &oracle).run();
     match result.outcome {
         SatOutcome::KeyRecovered { key } => {
-            let k: String = key.iter().map(|&b| if b { '1' } else { '0' }).collect();
-            println!("CRACKED in {} DIP iterations; key = {k}", result.iterations);
+            println!(
+                "CRACKED in {} DIP iterations; key = {}",
+                result.iterations,
+                bit_string(&key)
+            );
         }
         SatOutcome::NoDipAtFirstIteration { .. } => {
             println!("UNSAT at iteration 1: no distinguishing input exists —");
@@ -512,29 +582,16 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `glk count <locked.bench> <oracle.bench>`: the three quantitative
-/// locking-security scores (wrong-key error rate, DIP-space size,
-/// wrong-key count) via the exhaustive sweep and/or the ApproxMC-style
-/// hash-count estimator. `--project keys` prints only the key-space
-/// score; `--project inputs` only the input-space scores.
+/// The three quantitative locking-security scores (wrong-key error rate,
+/// DIP-space size, wrong-key count) via the exhaustive sweep and/or the
+/// ApproxMC-style hash-count estimator. `--project keys` prints only the
+/// key-space score; `--project inputs` only the input-space scores.
 fn cmd_count(args: &Args) -> Result<(), String> {
     use glitchlock::count::{corruption_scores, Score, ScoreConfig};
 
     let locked = load(&need(args, 0, "locked .bench")?)?;
     let oracle = load(&need(args, 1, "oracle .bench")?)?;
-    let prefix = args.flag("key-prefix").unwrap_or("key");
-    let key_inputs: Vec<_> = locked
-        .input_nets()
-        .iter()
-        .copied()
-        .filter(|&n| {
-            let name = locked.net(n).name();
-            name.starts_with(prefix) || name.starts_with("gk")
-        })
-        .collect();
-    if key_inputs.is_empty() {
-        return Err(format!("no key inputs matched prefix {prefix:?} or 'gk'"));
-    }
+    let key_inputs = attack_key_inputs(&locked, args.flag("key-prefix").unwrap_or("key"))?;
     let project = match args.flag("project") {
         None => None,
         Some("keys") => Some(true),
@@ -556,28 +613,15 @@ fn cmd_count(args: &Args) -> Result<(), String> {
         scores.key_bits,
         scores.method.tag()
     );
-    let key: String = scores
-        .sampled_key
-        .iter()
-        .map(|&b| if b { '1' } else { '0' })
-        .collect();
     let show = |label: &str, s: &Score| {
-        let exact = s
-            .exact
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "-".to_string());
-        let est = s
-            .estimate
-            .map(|e| format!("{e:.1}"))
-            .unwrap_or_else(|| "-".to_string());
-        let frac = s
-            .fraction()
-            .map(|f| format!("{f:.4}"))
-            .unwrap_or_else(|| "-".to_string());
+        let dash = || "-".to_string();
+        let exact = s.exact.map_or_else(dash, |e| e.to_string());
+        let est = s.estimate.map_or_else(dash, |e| format!("{e:.1}"));
+        let frac = s.fraction().map_or_else(dash, |f| format!("{f:.4}"));
         println!("  {label:<12} exact {exact:>10}  estimate {est:>12}  fraction {frac}");
     };
     if project != Some(true) {
-        println!("  sampled key  {key}");
+        println!("  sampled key  {}", bit_string(&scores.sampled_key));
         show("err", &scores.err);
         show("dip", &scores.dip);
     }
@@ -626,9 +670,6 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `glk verify <locked.bench> <oracle.bench> --key 0,1,… [--cycles N]
-/// [--period-ns N] [--key-prefix P] [--seed S]`
-///
 /// Runs the locked netlist in the timing domain under the given key and
 /// cross-validates every cycle's state transition and outputs against the
 /// oracle's zero-delay semantics.
@@ -639,11 +680,7 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
 
     let locked = load(&need(args, 0, "locked .bench")?)?;
     let oracle = load(&need(args, 1, "oracle .bench")?)?;
-    let key: KeyVector = args
-        .flag("key")
-        .ok_or("missing --key")?
-        .parse()
-        .map_err(|e| format!("{e}"))?;
+    let key: KeyVector = args.required("key")?.parse().map_err(|e| format!("{e}"))?;
     let cycles: usize = args.num("cycles", 12usize)?;
     let period = Ps::from_ns(args.num("period-ns", 3u64)?);
     let seed = args.num("seed", 1u64)?;
@@ -727,14 +764,20 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
 /// Collects every value given to a repeatable flag, splitting on commas,
 /// so both `--deny a,b` and `--deny a --deny b` work.
 fn flag_values(args: &Args, name: &str) -> Vec<String> {
-    args.flags
-        .iter()
-        .filter(|(n, _)| n == name)
-        .filter_map(|(_, v)| v.as_deref())
+    args.values(name)
         .flat_map(|v| v.split(','))
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .collect()
+}
+
+/// Whether a `json|text` flag asks for JSON (the default is text).
+fn json_format(args: &Args, name: &str) -> Result<bool, String> {
+    match args.flag(name).unwrap_or("text") {
+        "json" => Ok(true),
+        "text" => Ok(false),
+        other => Err(format!("--{name} expects json or text, got {other:?}")),
+    }
 }
 
 /// Configures a [`LintRunner`] from `--allow`/`--warn`/`--deny` flags.
@@ -755,24 +798,16 @@ fn lint_runner_from_flags(args: &Args) -> Result<LintRunner, String> {
     Ok(runner)
 }
 
-/// `glk lint <in.bench> [--format json|text] [--deny codes|all] [--warn …]
-/// [--allow …] [--period-ns N] [--glitch-ps L] [--margin-ps N]
-/// [--key-prefix P]`
-///
 /// Runs the full static-analysis battery; exits nonzero when any deny-level
 /// diagnostic survives. Parse failures are reported through the same
 /// diagnostic pipeline instead of aborting, so `--format json` consumers
 /// always get a well-formed report.
 fn cmd_lint(args: &Args) -> Result<(), String> {
     let path = need(args, 0, "input .bench")?;
-    let json = match args.flag("format").unwrap_or("text") {
-        "json" => true,
-        "text" => false,
-        other => return Err(format!("--format expects json or text, got {other:?}")),
-    };
+    let json = json_format(args, "format")?;
     let runner = lint_runner_from_flags(args)?;
     let lib = Library::cl013g_like().with_gk_delay_macros();
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+    let text = read(&path)?;
     let report = match bench_format::parse_with_bindings(&text, &path, &|name| lib.by_name(name)) {
         Ok(nl) => {
             let design = GkDesign {
@@ -804,8 +839,6 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `glk analyze <in.bench> [--format json|text] [--key-prefix P] [--nets]`
-///
 /// Runs the dataflow engine's day-one domains (constant/X propagation, raw
 /// and refined key taint, SCOAP testability) to their fixpoints and reports
 /// per-key-bit reachability: how many nets each bit structurally touches,
@@ -814,17 +847,13 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 /// lattice facts. Exit code is 0 regardless of findings — `glk lint`
 /// owns policy; this is the inspection tool.
 fn cmd_analyze(args: &Args) -> Result<(), String> {
-    use glitchlock::dataflow::{AnalysisFacts, INF};
+    use glitchlock::dataflow::{AnalysisFacts, KeyBitSet, INF};
 
     let path = need(args, 0, "input .bench")?;
     let nl = load(&path)?;
     nl.validate()
         .map_err(|e| format!("{path}: invalid netlist: {e}"))?;
-    let json = match args.flag("format").unwrap_or("text") {
-        "json" => true,
-        "text" => false,
-        other => return Err(format!("--format expects json or text, got {other:?}")),
-    };
+    let json = json_format(args, "format")?;
     let prefix = args.flag("key-prefix").unwrap_or("gk");
     let facts = AnalysisFacts::compute(&nl, prefix);
 
@@ -871,64 +900,58 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         .collect();
 
     if json {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let json_str = |s: &str| {
+            let mut quoted = String::new();
+            obs::write_json_str(&mut quoted, s);
+            quoted
+        };
+        let bit_rows: Vec<String> = bits
+            .iter()
+            .map(|b| {
+                let pos: Vec<String> = b.observable.iter().map(|p| json_str(p)).collect();
+                format!(
+                    "{{\"name\": {}, \"raw_reach\": {}, \"collapsed\": {}, \
+                     \"observable_outputs\": [{}], \"verdict\": {}}}",
+                    json_str(&b.name),
+                    b.raw_reach,
+                    b.collapsed,
+                    pos.join(", "),
+                    json_str(b.verdict)
+                )
+            })
+            .collect();
+        let mut out = format!(
             "{{\"design\": {}, \"nets\": {}, \"key_bits\": {}, \"iterations\": {}, \
-             \"widened\": {}, \"bits\": [",
+             \"widened\": {}, \"bits\": [{}]",
             json_str(nl.name()),
             nl.nets().len(),
             facts.key_width(),
             facts.iterations,
-            facts.widened
-        ));
-        for (i, b) in bits.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let pos: Vec<String> = b.observable.iter().map(|p| json_str(p)).collect();
-            out.push_str(&format!(
-                "{{\"name\": {}, \"raw_reach\": {}, \"collapsed\": {}, \
-                 \"observable_outputs\": [{}], \"verdict\": {}}}",
-                json_str(&b.name),
-                b.raw_reach,
-                b.collapsed,
-                pos.join(", "),
-                json_str(b.verdict)
-            ));
-        }
-        out.push(']');
+            facts.widened,
+            bit_rows.join(", ")
+        );
         if args.has("nets") {
-            out.push_str(", \"net_facts\": [");
-            let mut first = true;
-            for (id, net) in nl.nets() {
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                let (cc0, cc1, co) = facts.scoap_of(id);
-                let raw: Vec<String> = facts.raw.net(id).iter().map(|b| b.to_string()).collect();
-                let refined: Vec<String> = facts
-                    .refined
-                    .net(id)
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect();
-                out.push_str(&format!(
-                    "{{\"name\": {}, \"const\": {}, \"raw_taint\": [{}], \
-                     \"refined_taint\": [{}], \"cc0\": {}, \"cc1\": {}, \"co\": {}}}",
-                    json_str(net.name()),
-                    json_str(&facts.consts.net(id).to_logic().to_string()),
-                    raw.join(", "),
-                    refined.join(", "),
-                    json_str(&fmt_score(cc0)),
-                    json_str(&fmt_score(cc1)),
-                    json_str(&fmt_score(co)),
-                ));
-            }
-            out.push(']');
+            let list = |bits: &KeyBitSet| bits.iter().map(|b| b.to_string()).collect::<Vec<_>>();
+            let net_rows: Vec<String> = nl
+                .nets()
+                .map(|(id, net)| {
+                    let (cc0, cc1, co) = facts.scoap_of(id);
+                    format!(
+                        "{{\"name\": {}, \"const\": {}, \"raw_taint\": [{}], \
+                         \"refined_taint\": [{}], \"cc0\": {}, \"cc1\": {}, \"co\": {}}}",
+                        json_str(net.name()),
+                        json_str(&facts.consts.net(id).to_logic().to_string()),
+                        list(facts.raw.net(id)).join(", "),
+                        list(facts.refined.net(id)).join(", "),
+                        json_str(&fmt_score(cc0)),
+                        json_str(&fmt_score(cc1)),
+                        json_str(&fmt_score(co)),
+                    )
+                })
+                .collect();
+            out.push_str(&format!(", \"net_facts\": [{}]", net_rows.join(", ")));
         }
-        out.push('}');
-        println!("{out}");
+        println!("{out}}}");
     } else {
         println!(
             "design {} | {} net(s) | {} key bit(s) matching prefix {prefix:?}",
@@ -979,28 +1002,6 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Minimal JSON string escaping for `cmd_analyze` output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// End-of-flow audit shared by `lock-gk` and `synth`: runs the default
 /// battery over the produced netlist and fails the command on any
 /// deny-level finding, so broken netlists never leave the flow silently.
@@ -1023,9 +1024,6 @@ fn lint_audit(nl: &Netlist, period: Ps) -> Result<(), String> {
     }
 }
 
-/// `glk synth <in.bench> <out.bench> [--optimize] [--holdfix] [--resize N]
-/// [--period-ns N] [--no-lint]`
-///
 /// Applies the selected synthesis passes in a fixed order (optimize, resize,
 /// holdfix — holdfix last so its padding is not resized away) and audits the
 /// result with the lint battery unless `--no-lint` is given.
@@ -1041,8 +1039,7 @@ fn cmd_synth(args: &Args) -> Result<(), String> {
         nl = optimize_sequential(&nl).map_err(|e| e.to_string())?;
         println!("optimize: {} -> {} cells", before, nl.stats().cells);
     }
-    if args.has("resize") {
-        let threshold = args.num("resize", 8usize)?;
+    if let Some(threshold) = args.opt_num::<usize>("resize")? {
         let rep = upsize_high_fanout(&mut nl, &lib, threshold);
         println!(
             "resize: upsized {} of {} cells (fanout >= {threshold})",
@@ -1066,8 +1063,8 @@ fn cmd_synth(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `glk lib [out.lib] [--custom]` — dump the synthetic standard-cell
-/// library as Liberty text (stdout when no path given).
+/// Dumps the synthetic standard-cell library as Liberty text (stdout when
+/// no path is given).
 fn cmd_lib(args: &Args) -> Result<(), String> {
     let lib = if args.has("custom") {
         Library::cl013g_like().with_gk_delay_macros()
@@ -1085,10 +1082,6 @@ fn cmd_lib(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `glk fuzz [--seed S] [--cases N] [--time-budget SECS] [--referee NAME]…
-/// [--corpus DIR] [--inject none|xnor-flip] [--shrink-budget N]
-/// [--max-failures N] [--list-referees]`
-///
 /// Runs the differential fuzzer: every case is generated from a seed chain
 /// (`--seed S --cases N` is bit-for-bit reproducible), judged by the
 /// referee registry, and any disagreement is shrunk to a minimal
@@ -1111,13 +1104,8 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         seed: args.num("seed", 1u64)?,
         cases: args.num("cases", 100usize)?,
         time_budget: args
-            .flag("time-budget")
-            .map(|v| {
-                v.parse::<u64>()
-                    .map(std::time::Duration::from_secs)
-                    .map_err(|_| format!("--time-budget expects seconds, got {v:?}"))
-            })
-            .transpose()?,
+            .opt_num("time-budget")?
+            .map(std::time::Duration::from_secs),
         referees: flag_values(args, "referee"),
         inject,
         corpus_dir: args.flag("corpus").map(std::path::PathBuf::from),
@@ -1159,8 +1147,6 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
     Err(format!("{} referee failure(s)", report.failures.len()))
 }
 
-/// `glk campaign --spec <spec.txt> [--jobs N] [--out PREFIX] [--resume] …`
-///
 /// Expands the campaign spec (benchmarks × lockers × attacks × seeds) and
 /// runs every cell through the supervised worker pool, journaling each
 /// retired job to `<out>.journal.jsonl` so `--resume` skips completed work
@@ -1173,20 +1159,12 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         merge_journals, parse_shard, run_campaign, CampaignConfig, CampaignSpec,
     };
 
-    let spec_path = args
-        .flag("spec")
-        .ok_or("campaign needs --spec <spec.txt>")?;
-    let text =
-        std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-    let spec = CampaignSpec::parse(&text)?;
+    let spec = CampaignSpec::parse(&read(args.required("spec")?)?)?;
     let out = args.flag("out").unwrap_or("campaign").to_string();
 
     // Merge mode: reassemble shard journals into the canonical report,
     // no jobs run.
-    if args.has("merge-journals") {
-        let list = args
-            .flag("merge-journals")
-            .ok_or("--merge-journals expects a comma-separated journal list")?;
+    if let Some(list) = args.flag("merge-journals") {
         let paths: Vec<std::path::PathBuf> =
             list.split(',').map(std::path::PathBuf::from).collect();
         let records = merge_journals(&spec, &paths)?;
@@ -1198,32 +1176,17 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         return write_campaign_reports(&spec, &records, &out);
     }
 
-    let shard = match args.flag("shard") {
-        Some(v) => Some(parse_shard(v)?),
-        None => {
-            if args.has("shard") {
-                return Err("--shard expects `index/count`, e.g. `0/2`".to_string());
-            }
-            None
-        }
-    };
+    let shard = args.flag("shard").map(parse_shard).transpose()?;
     let journal_path = args
         .flag("journal")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from(format!("{out}.journal.jsonl")));
-    let halt_after = match args.flag("halt-after") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--halt-after expects a number of jobs, got {v:?}"))?,
-        ),
-    };
     let config = CampaignConfig {
         spec,
         jobs: args.num("jobs", glitchlock::jobs::worker_count())?,
         journal_path: journal_path.clone(),
         resume: args.has("resume"),
-        halt_after,
+        halt_after: args.opt_num("halt-after")?,
         shard,
     };
     let started = std::time::Instant::now();
@@ -1285,7 +1248,7 @@ fn write_campaign_reports(
     Ok(())
 }
 
-/// `glk serve`: the oracle/campaign daemon. Binds (localhost by default,
+/// The oracle/campaign daemon. Binds (localhost by default,
 /// port 0 picks a free port), prints `serve: listening on ADDR` on stdout
 /// so wrappers can scrape the address, then runs until SIGTERM or a
 /// client `shutdown` op. All server threads feed the global collector, so
@@ -1301,11 +1264,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     config.max_inflight = args.num("max-inflight", config.max_inflight)?;
     config.max_jobs = args.num("max-jobs", config.max_jobs)?;
-    config.job_timeout = std::time::Duration::from_millis(args.num("job-timeout-ms", 60_000u64)?);
-    if let Some(secs) = args.flag("job-timeout-secs") {
-        let secs: u64 = secs
-            .parse()
-            .map_err(|_| format!("--job-timeout-secs expects a number, got {secs:?}"))?;
+    if let Some(secs) = args.opt_num("job-timeout-secs")? {
         config.job_timeout = std::time::Duration::from_secs(secs);
     }
 
@@ -1347,7 +1306,7 @@ fn sigterm_received() -> bool {
     SIGTERM.load(std::sync::atomic::Ordering::SeqCst)
 }
 
-/// `glk query`: a one-shot client for a running `glk serve`. Prints the
+/// A one-shot client for a running `glk serve`. Prints the
 /// response as one canonical JSON line on stdout; error/busy replies exit
 /// nonzero. `campaign --journal PATH` additionally writes the returned
 /// records as a (shard) journal for later `--merge-journals`.
@@ -1368,8 +1327,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         "load-netlist" => {
             let name = need(args, 2, "design name")?;
             let path = need(args, 3, "bench file")?;
-            let bench =
-                std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let bench = read(&path)?;
             Op::LoadNetlist { name, bench }
         }
         "oracle" => Op::Oracle {
@@ -1391,29 +1349,16 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         },
         "attack" => Op::Attack(AttackJob {
             bench: need(args, 2, "benchmark name")?,
-            locker: args
-                .flag("locker")
-                .ok_or("attack needs --locker <tag>")?
-                .to_string(),
+            locker: args.required("locker")?.to_string(),
             width: args.num("width", 0usize)?,
-            attack: args
-                .flag("attack")
-                .ok_or("attack needs --attack <tag>")?
-                .to_string(),
+            attack: args.required("attack")?.to_string(),
             seed: args.num("seed", 1u64)?,
             max_iters: args.num("max-iters", 512usize)?,
             samples: args.num("samples", 1024usize)?,
         }),
         "campaign" => {
-            let spec_path = args
-                .flag("spec")
-                .ok_or("campaign needs --spec <spec.txt>")?;
-            let spec = std::fs::read_to_string(spec_path)
-                .map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-            let shard = match args.flag("shard") {
-                Some(v) => Some(parse_shard(v)?),
-                None => None,
-            };
+            let spec = read(args.required("spec")?)?;
+            let shard = args.flag("shard").map(parse_shard).transpose()?;
             Op::Campaign { spec, shard }
         }
         "sleep" => Op::Sleep {
@@ -1425,21 +1370,16 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     let request = Request { id, op };
     let response = client.call(&request)?;
     println!("{}", response.to_json());
-    match &response.reply {
-        Reply::Error { code, message } => Err(format!("server error [{}]: {message}", code.tag())),
-        Reply::Busy { reason } => Err(format!("server busy: {reason}")),
-        Reply::Campaign { spec_hash, records } => {
+    match (&response.reply, &request.op) {
+        (Reply::Error { code, message }, _) => {
+            Err(format!("server error [{}]: {message}", code.tag()))
+        }
+        (Reply::Busy { reason }, _) => Err(format!("server busy: {reason}")),
+        (Reply::Campaign { spec_hash, records }, Op::Campaign { spec, shard }) => {
             if let Some(path) = args.flag("journal") {
-                // Re-derive the shard label so the journal header matches
-                // what a local `glk campaign --shard` run would write.
-                let shard = match args.flag("shard") {
-                    Some(v) => Some(parse_shard(v)?),
-                    None => None,
-                };
-                let spec_path = args.flag("spec").ok_or("campaign needs --spec")?;
-                let spec_text = std::fs::read_to_string(spec_path)
-                    .map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-                let parsed = CampaignSpec::parse(&spec_text)?;
+                // The request's shard labels the journal header the way a
+                // local `glk campaign --shard` run would.
+                let parsed = CampaignSpec::parse(spec)?;
                 if parsed.hash() != *spec_hash {
                     return Err(format!(
                         "server answered for spec {spec_hash}, local spec is {}",
@@ -1447,7 +1387,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
                     ));
                 }
                 let writer =
-                    JournalWriter::create_shard(std::path::Path::new(path), spec_hash, shard)?;
+                    JournalWriter::create_shard(std::path::Path::new(path), spec_hash, *shard)?;
                 for record in records {
                     writer.append(record)?;
                 }
@@ -1459,9 +1399,62 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     }
 }
 
+/// A key as `0`/`1` characters, as `glk verify --key` takes it.
+fn bit_string(bits: &[bool]) -> String {
+    bits.iter().map(|&b| if b { '1' } else { '0' }).collect()
+}
+
 fn names(nl: &Netlist, nets: &[glitchlock::netlist::NetId]) -> String {
     nets.iter()
         .map(|&n| nl.net(n).name())
         .collect::<Vec<_>>()
         .join(",")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> impl Iterator<Item = String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        args.into_iter()
+    }
+
+    #[test]
+    fn usage_declares_each_subcommands_flags() {
+        for (sub, switches, values) in [
+            ("lock-gk", &["mix", "share"][..], &[][..]),
+            ("synth", &["optimize", "holdfix", "no-lint"], &["resize"]),
+            ("fuzz", &[], &["referee"]),
+            ("lint", &[], &["deny"]),
+            ("query", &[], &["locker", "spec", "ms"]),
+            ("attack", &["metrics"], &["trace", "metrics-format"]),
+        ] {
+            let accepted = Accepted::of(sub).unwrap();
+            for (names, value) in [(switches, false), (values, true)] {
+                for name in names {
+                    assert_eq!(accepted.takes_value(name), Some(value), "{sub} --{name}");
+                }
+            }
+        }
+        assert!(Accepted::of("attack").unwrap().obs);
+        let stats = Accepted::of("stats").unwrap();
+        assert!(!stats.obs && stats.takes_value("trace").is_none());
+        assert!(Accepted::of("frob").is_none());
+    }
+
+    #[test]
+    fn parse_checks_flags_against_usage() {
+        let args = Args::parse("lib", argv(&["--custom", "out.lib"])).unwrap();
+        assert_eq!(args.positional, ["out.lib"]);
+        let args = Args::parse("lint", argv(&["x", "--deny", "a,b", "--deny", "c"])).unwrap();
+        assert_eq!(flag_values(&args, "deny"), ["a", "b", "c"]);
+        let Err(err) = Args::parse("attack", argv(&["a", "b", "--solver", "legacy"])) else {
+            panic!("--solver accepted");
+        };
+        assert!(err.contains("--solver") && err.contains("attack"), "{err}");
+        assert!(Args::parse("sta", argv(&["s.bench", "--period-ns"])).is_err());
+        assert!(Args::parse("synth", argv(&["a", "b", "--resize", "--optimize"])).is_err());
+        assert!(Args::parse("serve", argv(&["--job-timeout-ms", "5"])).is_err());
+    }
 }

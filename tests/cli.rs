@@ -2,6 +2,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn glk() -> Command {
     Command::new(env!("CARGO_BIN_EXE_glk"))
@@ -13,8 +14,12 @@ fn write_s27(dir: &std::path::Path) -> PathBuf {
     path
 }
 
+/// A fresh directory per call: tests run in parallel and each rewrites
+/// its own `s27.bench`.
 fn tempdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("glk-test-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("glk-test-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -353,4 +358,72 @@ fn sim_and_fuzz_support_trace_flags() {
     std::fs::write(&bogus, "not json\n").unwrap();
     let out = glk().arg("trace-check").arg(&bogus).output().unwrap();
     assert!(!out.status.success());
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let dir = tempdir();
+    let bench = write_s27(&dir);
+    let prefix = dir.join("s27u");
+    let out = glk()
+        .arg("lock-gk")
+        .arg(&bench)
+        .arg(&prefix)
+        .args(["--gks", "2", "--seed", "7"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    // A retired solver switch must not run the attack on defaults.
+    let out = glk()
+        .arg("attack")
+        .arg(format!("{}.attack.bench", prefix.display()))
+        .arg(&bench)
+        .args(["--solver", "legacy"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--solver") && err.contains("attack"), "{err}");
+    assert!(out.stdout.is_empty());
+
+    // A retired daemon knob is rejected before the daemon binds.
+    let out = glk()
+        .args(["serve", "--flush-micros", "200"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(!text.contains("listening"), "{text}");
+}
+
+#[test]
+fn value_flag_without_value_is_a_usage_error() {
+    let dir = tempdir();
+    let bench = write_s27(&dir);
+    let out = glk()
+        .arg("sta")
+        .arg(&bench)
+        .arg("--period-ns")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--period-ns"), "{err}");
+}
+
+#[test]
+fn switches_never_take_the_next_argument() {
+    let dir = tempdir();
+    let lib = dir.join("out.lib");
+    let out = glk().args(["lib", "--custom"]).arg(&lib).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("library -> "));
+    // `--custom` still selects the library with the GK delay macros.
+    let text = std::fs::read_to_string(&lib).unwrap();
+    assert!(text.contains("cell (GKDLY"), "{text}");
 }
