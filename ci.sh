@@ -13,7 +13,11 @@ cargo fmt --check
 # deny-all, and a deliberately mutated netlist must be rejected.
 GLK=target/release/glk
 WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
+# Building perfbench rewrites perfbench/Cargo.lock, which this gate must
+# leave as committed: keep a copy and put it back on every exit, so a
+# failing smoke restores it too.
+cp perfbench/Cargo.lock "$WORK/perfbench.Cargo.lock"
+trap 'cp "$WORK/perfbench.Cargo.lock" perfbench/Cargo.lock; rm -rf "$WORK"' EXIT
 
 cat > "$WORK/s27.bench" <<'EOF'
 # s27 (ISCAS'89)
@@ -198,11 +202,13 @@ grep -Eq 'key-classes +1$' "$WORK/count1.out"
 
 # perfbench smoke: a short lock-flow run (parse, STA, feasibility, GK
 # insertion, SAT attack on the seven IWLS profiles) must report every op
-# correct and none failed.
+# correct and none failed, and its seed-1 warm-up digest pins every
+# locked output: the parser and the GK flow must stay byte-identical.
 python3 perfbench/run.py --workload lock-flow --seed 1 --seconds 3 --trace 0 \
-    > "$WORK/perfbench.out"
+    > "$WORK/perfbench.out" 2> "$WORK/perfbench.err"
 tail -n 1 "$WORK/perfbench.out" | grep -q '"correct": true'
 tail -n 1 "$WORK/perfbench.out" | grep -q '"failed": 0,'
+grep -q 'warm-up pass digest 73ed1cb1bfe51e48$' "$WORK/perfbench.err"
 
 # perfbench oracle-serve smoke: a short run against the daemon (bulk and
 # single requests through the codec and the batcher) must check every

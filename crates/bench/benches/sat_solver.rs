@@ -153,7 +153,8 @@ fn bench_equiv() -> Vec<EquivRow> {
         let resynth = glitchlock_synth::optimize_sequential(&locked.netlist)
             .expect("locked bench resynthesizes");
         let start = Instant::now();
-        let (result, stats) = bounded_equiv_with_stats(&locked.netlist, &resynth, depth);
+        let (result, stats) = bounded_equiv_with_stats(&locked.netlist, &resynth, depth)
+            .expect("resynthesis keeps the interface");
         let wall = start.elapsed();
         assert_eq!(
             result,

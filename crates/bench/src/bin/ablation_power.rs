@@ -68,9 +68,9 @@ fn main() {
     profiles.extend(iwls2005_profiles().into_iter().filter(|p| p.cells <= 1000));
     // Original + locked timed simulations per benchmark, fanned out.
     let rows = parallel_map(&profiles, |profile| {
-        let locked = lock_profile(profile, 8, 0x9034 + profile.cells as u64).ok()?;
+        let (original, locked) = lock_profile(profile, 8, 0x9034 + profile.cells as u64).ok()?;
         let period = profile.clock_period;
-        let base = run_activity(&locked.original, &lib, period, cycles, &[], 5);
+        let base = run_activity(&original, &lib, period, cycles, &[], 5);
         let key: Vec<(NetId, KeyBit)> = locked
             .key_inputs
             .iter()

@@ -34,7 +34,7 @@ fn main() {
         .flat_map(|p| [4usize, 8, 16].map(|n| (p, n)))
         .collect();
     let run_one = |profile: &glitchlock_circuits::Profile, n_gks: usize| -> String {
-        let Ok(locked) = lock_profile(profile, n_gks, 0xA77AC4 + n_gks as u64) else {
+        let Ok((original, locked)) = lock_profile(profile, n_gks, 0xA77AC4 + n_gks as u64) else {
             return format!(
                 "{:<8} {:>6} {:>10} | {:>12}",
                 profile.name,
@@ -47,7 +47,7 @@ fn main() {
         let result = SatAttack::new(
             &locked.attack_view,
             locked.attack_key_inputs.clone(),
-            &locked.original,
+            &original,
         )
         .run();
         let elapsed = start.elapsed();

@@ -7,7 +7,7 @@
 
 use glitchlock_bench::parallel::parallel_map;
 use glitchlock_bench::{fmt_pair, lock_profile, PAPER_TABLE2};
-use glitchlock_circuits::{generate, iwls2005_profiles, Profile};
+use glitchlock_circuits::{iwls2005_profiles, Profile};
 use glitchlock_core::locking::{LockScheme, XorLock};
 use glitchlock_stdcell::Library;
 use glitchlock_synth::Overhead;
@@ -15,15 +15,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn overhead_for(profile: &Profile, n_gks: usize, lib: &Library) -> Option<(f64, f64)> {
-    let locked = lock_profile(profile, n_gks, 0xBEEF + n_gks as u64).ok()?;
-    let oh = Overhead::measure(lib, &locked.original, &locked.netlist);
+    let (original, locked) = lock_profile(profile, n_gks, 0xBEEF + n_gks as u64).ok()?;
+    let oh = Overhead::measure(lib, &original, &locked.netlist);
     Some((oh.cell_overhead_pct(), oh.area_overhead_pct()))
 }
 
 /// Hybrid of Table II column 4: 8 GKs + 16 XOR key-gates = 32 key inputs.
 fn hybrid_for(profile: &Profile, lib: &Library) -> Option<(f64, f64)> {
-    let original = generate(profile);
-    let locked = lock_profile(profile, 8, 0xBEEF + 99).ok()?;
+    let (original, locked) = lock_profile(profile, 8, 0xBEEF + 99).ok()?;
     let mut rng = StdRng::seed_from_u64(0xBEEF + 100);
     let hybrid = XorLock::new(16).lock(&locked.netlist, &mut rng).ok()?;
     let oh = Overhead::measure(lib, &original, &hybrid.netlist);

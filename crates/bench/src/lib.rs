@@ -26,6 +26,7 @@ pub use glitchlock_jobs::pool as parallel;
 
 use glitchlock_core::gk::GkDesign;
 use glitchlock_core::GkLocked;
+use glitchlock_netlist::Netlist;
 use glitchlock_sta::ClockModel;
 use glitchlock_stdcell::Library;
 use rand::rngs::StdRng;
@@ -99,8 +100,9 @@ pub const PAPER_TABLE2: &[(
     ),
 ];
 
-/// Locks a benchmark profile with `n_gks` GKs under the paper's default GK
-/// design, deterministic in `seed`.
+/// Generates a benchmark profile and locks it with `n_gks` GKs under the
+/// paper's default GK design, deterministic in `seed`. Returns the original
+/// (the oracle) with its locked version.
 ///
 /// # Errors
 ///
@@ -109,7 +111,7 @@ pub fn lock_profile(
     profile: &glitchlock_circuits::Profile,
     n_gks: usize,
     seed: u64,
-) -> Result<GkLocked, glitchlock_core::CoreError> {
+) -> Result<(Netlist, GkLocked), glitchlock_core::CoreError> {
     let nl = glitchlock_circuits::generate(profile);
     let lib = Library::cl013g_like();
     let clock = ClockModel::new(profile.clock_period);
@@ -122,6 +124,7 @@ pub fn lock_profile(
         share_keygens: false,
     }
     .encrypt(&nl, &lib, &clock, &mut rng)
+    .map(|locked| (nl, locked))
 }
 
 /// Formats an optional percent pair as `"c/a"` or `"-"`.
@@ -147,7 +150,7 @@ mod tests {
     #[test]
     fn lock_profile_smoke() {
         let p = glitchlock_circuits::profile_by_name("s1238").unwrap();
-        let locked = lock_profile(&p, 2, 1).unwrap();
+        let (_, locked) = lock_profile(&p, 2, 1).unwrap();
         assert_eq!(locked.key_width(), 4);
     }
 }

@@ -46,10 +46,10 @@ pub struct GkInfo {
 /// attacker's combinational view.
 #[derive(Clone, Debug)]
 pub struct GkLocked {
-    /// The full locked netlist: GKs, KEYGENs, delay elements.
+    /// The full locked netlist: GKs, KEYGENs, delay elements. Encryption
+    /// only appends cells and nets, so the original's ids (inputs,
+    /// flip-flops, every net) stay valid here.
     pub netlist: Netlist,
-    /// The original (oracle) netlist.
-    pub original: Netlist,
     /// Attacker's view per the paper's Sec. VI: KEYGENs removed, each GK
     /// key pin promoted to a primary input.
     pub attack_view: Netlist,
@@ -313,8 +313,11 @@ impl GkEncryptor {
         let attack_key_inputs = promote
             .iter()
             .map(|(_, name)| {
-                attack_view
-                    .net_by_name(name)
+                *attack_view
+                    .input_nets()
+                    .iter()
+                    .rev()
+                    .find(|&&n| attack_view.net(n).name() == name)
                     .expect("promoted input exists in the view")
             })
             .collect();
@@ -336,7 +339,6 @@ impl GkEncryptor {
             .emit();
         Ok(GkLocked {
             netlist: work,
-            original: original.clone(),
             attack_view,
             attack_key_inputs,
             key_inputs,
@@ -527,14 +529,16 @@ mod tests {
         Library::cl013g_like()
     }
 
-    fn locked_tiny(n_gks: usize, seed: u64) -> GkLocked {
+    /// The tiny profile for `seed` and its GK-locked version.
+    fn locked_tiny(n_gks: usize, seed: u64) -> (Netlist, GkLocked) {
         let nl = generate(&tiny(seed));
         let lib = lib();
         let clock = ClockModel::new(Ps::from_ns(3));
         let mut rng = StdRng::seed_from_u64(seed);
-        GkEncryptor::new(n_gks)
+        let locked = GkEncryptor::new(n_gks)
             .encrypt(&nl, &lib, &clock, &mut rng)
-            .expect("tiny profile has feasible FFs")
+            .expect("tiny profile has feasible FFs");
+        (nl, locked)
     }
 
     #[test]
@@ -560,7 +564,7 @@ mod tests {
 
     #[test]
     fn encrypt_produces_consistent_structures() {
-        let locked = locked_tiny(2, 7);
+        let (original, locked) = locked_tiny(2, 7);
         assert_eq!(locked.gks.len(), 2);
         assert_eq!(locked.key_width(), 4);
         assert_eq!(locked.correct_key.len(), 4);
@@ -569,19 +573,13 @@ mod tests {
         // The attack view has one key input per GK.
         assert_eq!(locked.attack_key_inputs.len(), 2);
         // KEYGEN flip-flops exist in the full netlist but not the view.
-        assert_eq!(
-            locked.netlist.stats().dffs,
-            locked.original.stats().dffs + 2
-        );
-        assert_eq!(
-            locked.attack_view.stats().dffs,
-            locked.original.stats().dffs
-        );
+        assert_eq!(locked.netlist.stats().dffs, original.stats().dffs + 2);
+        assert_eq!(locked.attack_view.stats().dffs, original.stats().dffs);
     }
 
     #[test]
     fn wrong_key_generator_never_returns_correct() {
-        let locked = locked_tiny(2, 8);
+        let (_, locked) = locked_tiny(2, 8);
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..20 {
             assert_ne!(locked.random_wrong_key(&mut rng), locked.correct_key);
@@ -590,7 +588,7 @@ mod tests {
 
     #[test]
     fn violations_classified_as_false_for_verified_gks() {
-        let locked = locked_tiny(2, 9);
+        let (_, locked) = locked_tiny(2, 9);
         let lib = lib();
         let clock = ClockModel::new(Ps::from_ns(3));
         let cls = classify_violations(&locked, &lib, &clock);
@@ -609,6 +607,7 @@ mod tests {
     /// oracle seeded from the simulation's own sampled state. Returns
     /// `(po_mismatches, state_mismatches)` over the compared cycles.
     fn transition_mismatches(
+        original: &Netlist,
         locked: &GkLocked,
         key_nets: &[(NetId, KeyBit)],
         seed: u64,
@@ -617,14 +616,14 @@ mod tests {
         let lib = lib();
         let period = locked.clock_period;
         let mut rng = StdRng::seed_from_u64(seed);
-        let n_in = locked.original.input_nets().len();
+        let n_in = original.input_nets().len();
         let inputs: Vec<Vec<Logic>> = (0..cycles)
             .map(|_| (0..n_in).map(|_| Logic::from_bool(rng.gen())).collect())
             .collect();
         // Encryption only appends cells, so the original's input nets and
         // flip-flop cells keep their ids in the locked netlist.
-        let data_inputs: Vec<NetId> = locked.original.input_nets().to_vec();
-        let tracked: Vec<CellId> = locked.original.dff_cells().to_vec();
+        let data_inputs: Vec<NetId> = original.input_nets().to_vec();
+        let tracked: Vec<CellId> = original.dff_cells().to_vec();
         let trace = timed_trace(
             &locked.netlist,
             &lib,
@@ -638,11 +637,9 @@ mod tests {
         let mut state_bad = 0;
         #[allow(clippy::needless_range_loop)] // c also indexes states[c+1]
         for c in 0..cycles {
-            let mut oracle = glitchlock_netlist::SeqState::from_values(
-                &locked.original,
-                trace.states[c].clone(),
-            );
-            let po_expect = oracle.step(&locked.original, &inputs[c]);
+            let mut oracle =
+                glitchlock_netlist::SeqState::from_values(original, trace.states[c].clone());
+            let po_expect = oracle.step(original, &inputs[c]);
             if trace.po[c] != po_expect {
                 po_bad += 1;
             }
@@ -655,21 +652,21 @@ mod tests {
 
     #[test]
     fn correct_key_preserves_transition_function() {
-        let locked = locked_tiny(2, 10);
+        let (original, locked) = locked_tiny(2, 10);
         let key_nets: Vec<(NetId, KeyBit)> = locked
             .key_inputs
             .iter()
             .copied()
             .zip(locked.correct_key.bits().iter().copied())
             .collect();
-        let (po_bad, state_bad) = transition_mismatches(&locked, &key_nets, 5, 12);
+        let (po_bad, state_bad) = transition_mismatches(&original, &locked, &key_nets, 5, 12);
         assert_eq!(po_bad, 0, "POs must match the oracle every cycle");
         assert_eq!(state_bad, 0, "state transitions must match the oracle");
     }
 
     #[test]
     fn wrong_constant_key_corrupts_every_transition() {
-        let locked = locked_tiny(2, 11);
+        let (original, locked) = locked_tiny(2, 11);
         // All-zero key: every GK sees constant 0 and acts as an inverter,
         // so each GK-fed flip-flop latches the complement — the state
         // transition is provably wrong every cycle.
@@ -678,13 +675,13 @@ mod tests {
             .iter()
             .map(|&n| (n, KeyBit::Const(false)))
             .collect();
-        let (_, state_bad) = transition_mismatches(&locked, &key_nets, 6, 12);
+        let (_, state_bad) = transition_mismatches(&original, &locked, &key_nets, 6, 12);
         assert_eq!(state_bad, 12, "inverted D corrupts the state each cycle");
     }
 
     #[test]
     fn mistimed_transition_key_also_corrupts() {
-        let locked = locked_tiny(1, 13);
+        let (original, locked) = locked_tiny(1, 13);
         // Swap the two transitional selections: the glitch fires in the
         // wrong place (off-glitch window or violation zone).
         let mut wrong = KeyVector::new();
@@ -703,21 +700,22 @@ mod tests {
             .copied()
             .zip(wrong.bits().iter().copied())
             .collect();
-        let (_, state_bad) = transition_mismatches(&locked, &key_nets, 7, 12);
+        let (_, state_bad) = transition_mismatches(&original, &locked, &key_nets, 7, 12);
         assert!(state_bad > 0, "mistimed glitch must corrupt the state");
     }
 
-    fn locked_tiny_mixed(n_gks: usize, seed: u64) -> GkLocked {
+    fn locked_tiny_mixed(n_gks: usize, seed: u64) -> (Netlist, GkLocked) {
         let nl = generate(&tiny(seed));
         let lib = lib();
         let clock = ClockModel::new(Ps::from_ns(3));
         let mut rng = StdRng::seed_from_u64(seed);
-        GkEncryptor {
+        let locked = GkEncryptor {
             mix_schemes: true,
             ..GkEncryptor::new(n_gks)
         }
         .encrypt(&nl, &lib, &clock, &mut rng)
-        .expect("tiny profile has feasible FFs")
+        .expect("tiny profile has feasible FFs");
+        (nl, locked)
     }
 
     #[test]
@@ -727,7 +725,7 @@ mod tests {
         let mut saw_const = false;
         let mut saw_transition = false;
         for seed in 20..26 {
-            let locked = locked_tiny_mixed(3, seed);
+            let (_, locked) = locked_tiny_mixed(3, seed);
             for gk in &locked.gks {
                 match gk.correct {
                     KeygenSelect::Const0 | KeygenSelect::Const1 => saw_const = true,
@@ -741,14 +739,14 @@ mod tests {
 
     #[test]
     fn mixed_schemes_correct_key_preserves_transitions() {
-        let locked = locked_tiny_mixed(3, 21);
+        let (original, locked) = locked_tiny_mixed(3, 21);
         let key_nets: Vec<(NetId, KeyBit)> = locked
             .key_inputs
             .iter()
             .copied()
             .zip(locked.correct_key.bits().iter().copied())
             .collect();
-        let (po_bad, state_bad) = transition_mismatches(&locked, &key_nets, 8, 12);
+        let (po_bad, state_bad) = transition_mismatches(&original, &locked, &key_nets, 8, 12);
         assert_eq!(po_bad, 0);
         assert_eq!(state_bad, 0);
     }
@@ -757,7 +755,7 @@ mod tests {
     fn mixed_schemes_species_swapped_key_corrupts() {
         // Give every GK the wrong *species*: transitions where constants
         // are expected and vice versa.
-        let locked = locked_tiny_mixed(3, 22);
+        let (original, locked) = locked_tiny_mixed(3, 22);
         let mut wrong = KeyVector::new();
         for gk in &locked.gks {
             let flipped = match gk.correct {
@@ -774,7 +772,7 @@ mod tests {
             .copied()
             .zip(wrong.bits().iter().copied())
             .collect();
-        let (_, state_bad) = transition_mismatches(&locked, &key_nets, 9, 12);
+        let (_, state_bad) = transition_mismatches(&original, &locked, &key_nets, 9, 12);
         assert!(state_bad > 0, "species-swapped key must corrupt");
     }
 
@@ -812,7 +810,7 @@ mod tests {
             .copied()
             .zip(shared.correct_key.bits().iter().copied())
             .collect();
-        let (po_bad, state_bad) = transition_mismatches(&shared, &key_nets, 31, 10);
+        let (po_bad, state_bad) = transition_mismatches(&nl, &shared, &key_nets, 31, 10);
         assert_eq!(po_bad, 0);
         assert_eq!(state_bad, 0);
         // And wrong keys still corrupt.
@@ -821,7 +819,7 @@ mod tests {
             .iter()
             .map(|&n| (n, KeyBit::Const(false)))
             .collect();
-        let (_, state_bad) = transition_mismatches(&shared, &wrong, 32, 10);
+        let (_, state_bad) = transition_mismatches(&nl, &shared, &wrong, 32, 10);
         assert!(state_bad > 0);
     }
 

@@ -345,10 +345,11 @@ fn sat_equiv(ctx: &RefereeCtx<'_>) -> Verdict {
                 Err(e) => return Verdict::Fail(format!("bench round trip failed: {e}")),
             };
             match bounded_equiv(original, &reparsed, 3) {
-                EquivResult::Equivalent => Verdict::Pass,
-                EquivResult::Counterexample { inputs } => Verdict::Fail(format!(
+                Ok(EquivResult::Equivalent) => Verdict::Pass,
+                Ok(EquivResult::Counterexample { inputs }) => Verdict::Fail(format!(
                     "reparsed netlist differs from original on input sequence {inputs:?}"
                 )),
+                Err(e) => Verdict::Fail(format!("reparsed netlist is not comparable: {e}")),
             }
         }
         LockOutcome::Static(locked) => {
@@ -361,11 +362,12 @@ fn sat_equiv(ctx: &RefereeCtx<'_>) -> Verdict {
                 return Verdict::Skip("key input name collides with an oracle net".into());
             };
             match bounded_equiv(&oracle, &tied, 3) {
-                EquivResult::Equivalent => Verdict::Pass,
-                EquivResult::Counterexample { inputs } => Verdict::Fail(format!(
+                Ok(EquivResult::Equivalent) => Verdict::Pass,
+                Ok(EquivResult::Counterexample { inputs }) => Verdict::Fail(format!(
                     "correct key is not equivalent to the oracle; distinguishing \
                      sequence {inputs:?}"
                 )),
+                Err(e) => Verdict::Fail(format!("keyed design is not comparable: {e}")),
             }
         }
         LockOutcome::Gk(_) => Verdict::Skip(
@@ -555,8 +557,9 @@ fn wrong_key_static(ctx: &RefereeCtx<'_>, locked: &Locked) -> Verdict {
         let tied_ok = tie_keys(&locked.netlist, &locked.key_inputs, &locked.correct_key);
         let tied_bad = tie_keys(&locked.netlist, &locked.key_inputs, &flipped);
         match bounded_equiv(&tied_ok, &tied_bad, 3) {
-            EquivResult::Equivalent => {} // vacuous key bit
-            EquivResult::Counterexample { inputs } => {
+            Err(e) => return Verdict::Fail(format!("key bit {bit}: BMC not applicable: {e}")),
+            Ok(EquivResult::Equivalent) => {} // vacuous key bit
+            Ok(EquivResult::Counterexample { inputs }) => {
                 if sweep.exhaustive {
                     return Verdict::Fail(format!(
                         "key bit {bit}: exhaustive packed sweep saw no corruption but the \
@@ -576,14 +579,14 @@ fn wrong_key_gk(ctx: &RefereeCtx<'_>, gk: &glitchlock_core::GkLocked) -> Verdict
     // does by construction (the glitch paths intentionally toggle inside
     // the capture window, which STA reports as violations), but the timed
     // trace is only meaningful when the data paths themselves are clean.
-    if !analyze(&gk.original, ctx.library, &ClockModel::new(period)).all_met() {
+    let oracle = &ctx.case.netlist;
+    if !analyze(oracle, ctx.library, &ClockModel::new(period)).all_met() {
         return Verdict::Skip("base design misses timing; timed referee not applicable".into());
     }
     let Some(correct_bits) = gk.correct_key.as_bools() else {
         return Verdict::Skip("non-constant static key".into());
     };
     let locked = &gk.netlist;
-    let oracle = &gk.original;
     let key_nets = &gk.key_inputs;
     let data_inputs: Vec<NetId> = locked
         .input_nets()
@@ -983,7 +986,7 @@ fn lint_clean(ctx: &RefereeCtx<'_>) -> Verdict {
             timing.set_level(code, Level::Deny);
         }
         let clock = ClockModel::new(gk.clock_period);
-        let base_ctx = LintContext::new(&gk.original, ctx.library).with_clock(clock.clone());
+        let base_ctx = LintContext::new(&ctx.case.netlist, ctx.library).with_clock(clock.clone());
         if !denied_codes(&timing, &base_ctx).is_empty() {
             return Verdict::Skip("base design misses timing at the insertion period".into());
         }

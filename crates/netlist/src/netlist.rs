@@ -100,7 +100,10 @@ pub struct Netlist {
     inputs: Vec<NetId>,
     outputs: Vec<(NetId, String)>,
     dffs: Vec<CellId>,
-    by_name: HashMap<String, NetId>,
+    /// Name → net index, built on the first [`Netlist::net_by_name`] call
+    /// (most netlists are never searched by name) and kept current by
+    /// [`Netlist::add_net`] once built.
+    by_name: OnceLock<HashMap<String, NetId>>,
     /// Lazily computed topological order, dropped on structural mutation.
     topo_cache: OnceLock<Result<Vec<CellId>, NetlistError>>,
 }
@@ -115,9 +118,17 @@ impl Netlist {
             inputs: Vec::new(),
             outputs: Vec::new(),
             dffs: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: OnceLock::new(),
             topo_cache: OnceLock::new(),
         }
+    }
+
+    /// An empty netlist with room for `cells` cells and `nets` nets.
+    pub(crate) fn with_capacity(name: &str, cells: usize, nets: usize) -> Self {
+        let mut nl = Netlist::new(name);
+        nl.cells.reserve_exact(cells);
+        nl.nets.reserve_exact(nets);
+        nl
     }
 
     /// The design name.
@@ -130,7 +141,9 @@ impl Netlist {
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         let name = name.into();
         let id = NetId::from_index(self.nets.len());
-        self.by_name.insert(name.clone(), id);
+        if let Some(index) = self.by_name.get_mut() {
+            index.insert(name.clone(), id);
+        }
         self.nets.push(Net {
             name,
             driver: None,
@@ -139,24 +152,32 @@ impl Netlist {
         id
     }
 
-    fn fresh_net(&mut self, hint: &str) -> NetId {
-        let name = format!("{hint}_{}", self.nets.len());
-        self.add_net(name)
+    /// Adds a net named `<hint><suffix>_<net index>`.
+    fn fresh_net(&mut self, hint: &str, suffix: &str) -> NetId {
+        let index = self.nets.len();
+        self.add_net(numbered(&[hint, suffix, "_"], index))
     }
 
-    /// Looks a net up by name.
+    /// Looks a net up by name. When several nets share a name, the one
+    /// added last wins.
     pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        self.by_name.get(name).copied()
+        self.by_name
+            .get_or_init(|| {
+                let mut index = HashMap::with_capacity(self.nets.len());
+                for (i, net) in self.nets.iter().enumerate() {
+                    index.insert(net.name.clone(), NetId::from_index(i));
+                }
+                index
+            })
+            .get(name)
+            .copied()
     }
 
-    /// Renames a net. The new name wins any by-name lookup; the old name
-    /// keeps resolving to `id` unless another net claims it later. Parsers
-    /// use this to restore declared signal names after forward-reference
-    /// placeholder rewiring, so emit → parse → emit is name-stable.
+    /// Renames a net. By-name lookups then see the new name and no longer
+    /// the old one.
     pub fn rename_net(&mut self, id: NetId, name: impl Into<String>) {
-        let name = name.into();
-        self.nets[id.index()].name = name.clone();
-        self.by_name.insert(name, id);
+        self.nets[id.index()].name = name.into();
+        self.by_name.take();
     }
 
     /// Adds a primary input and returns the net it drives.
@@ -169,6 +190,27 @@ impl Netlist {
         net
     }
 
+    /// Adds a cell driving the existing, undriven `output` net and connects
+    /// its pins. `inputs` may name nets that have no driver yet, so a
+    /// parser can pre-create every net and then add cells in file order.
+    /// The caller guarantees `kind` accepts `inputs.len()` pins.
+    pub(crate) fn push_driver(
+        &mut self,
+        kind: GateKind,
+        inputs: Vec<NetId>,
+        output: NetId,
+        name: String,
+    ) -> CellId {
+        debug_assert!(kind.accepts_arity(inputs.len()) && kind != GateKind::Input);
+        debug_assert!(self.nets[output.index()].driver.is_none());
+        let cell = self.push_cell(kind, inputs, output, name);
+        self.connect(cell);
+        if kind == GateKind::Dff {
+            self.dffs.push(cell);
+        }
+        cell
+    }
+
     /// Adds a combinational gate driving a fresh net.
     ///
     /// # Errors
@@ -176,7 +218,7 @@ impl Netlist {
     /// Returns [`NetlistError::BadArity`] if the pin count is illegal for
     /// `kind`, and [`NetlistError::UnknownNet`] for out-of-range input nets.
     pub fn add_gate(&mut self, kind: GateKind, inputs: &[NetId]) -> Result<NetId, NetlistError> {
-        let name = format!("g{}", self.cells.len());
+        let name = numbered(&["g"], self.cells.len());
         self.add_gate_named(kind, inputs, name)
     }
 
@@ -199,7 +241,7 @@ impl Netlist {
         }
         self.check_arity(kind, inputs)?;
         let name = name.into();
-        let out = self.fresh_net(&name);
+        let out = self.fresh_net(&name, "");
         let cell = self.push_cell(kind, inputs.to_vec(), out, name);
         self.connect(cell);
         Ok(out)
@@ -211,7 +253,7 @@ impl Netlist {
     ///
     /// Returns [`NetlistError::UnknownNet`] if `d` is out of range.
     pub fn add_dff(&mut self, d: NetId) -> Result<NetId, NetlistError> {
-        let name = format!("ff{}", self.dffs.len());
+        let name = numbered(&["ff"], self.dffs.len());
         self.add_dff_named(d, name)
     }
 
@@ -227,7 +269,7 @@ impl Netlist {
     ) -> Result<NetId, NetlistError> {
         self.check_arity(GateKind::Dff, std::slice::from_ref(&d))?;
         let name = name.into();
-        let q = self.fresh_net(&format!("{name}_q"));
+        let q = self.fresh_net(&name, "_q");
         let cell = self.push_cell(GateKind::Dff, vec![d], q, name);
         self.connect(cell);
         self.dffs.push(cell);
@@ -270,12 +312,9 @@ impl Netlist {
 
     fn connect(&mut self, cell: CellId) {
         self.topo_cache.take();
-        let (inputs, output) = {
-            let c = &self.cells[cell.index()];
-            (c.inputs.clone(), c.output)
-        };
-        self.nets[output.index()].driver = Some(cell);
-        for (pin, net) in inputs.into_iter().enumerate() {
+        let c = &self.cells[cell.index()];
+        self.nets[c.output.index()].driver = Some(cell);
+        for (pin, net) in c.inputs.iter().enumerate() {
             self.nets[net.index()].fanout.push((cell, pin));
         }
     }
@@ -631,6 +670,29 @@ impl Netlist {
     }
 }
 
+/// `parts` concatenated, followed by `n` in decimal: the builder's generated
+/// names, written without going through `format!`.
+pub(crate) fn numbered(parts: &[&str], n: usize) -> String {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let len = parts.iter().map(|p| p.len()).sum::<usize>() + digits.len() - at;
+    let mut name = String::with_capacity(len);
+    for p in parts {
+        name.push_str(p);
+    }
+    name.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    name
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,6 +852,30 @@ mod tests {
         nl.rewire_input(inv, 0, b).unwrap();
         let out = nl.eval_comb(&[One, Zero, Zero]);
         assert_eq!(*out.last().unwrap(), One, "inverter now reads input b");
+    }
+
+    #[test]
+    fn generated_names_and_lookup() {
+        assert_eq!(numbered(&["g"], 0), "g0");
+        assert_eq!(numbered(&["a", "_q", "_"], 1907), "a_q_1907");
+        assert_eq!(numbered(&[], usize::MAX), usize::MAX.to_string());
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let y = nl.add_gate(GateKind::Inv, &[a]).unwrap();
+        let q = nl.add_dff(y).unwrap();
+        assert_eq!(nl.net(y).name(), "g1_1");
+        assert_eq!(nl.net(q).name(), "ff0_q_2");
+        // The index is built on the first lookup and kept current after.
+        assert_eq!(nl.net_by_name("g1_1"), Some(y));
+        let dup = nl.add_net("a");
+        assert_eq!(
+            nl.net_by_name("a"),
+            Some(dup),
+            "the last net named `a` wins"
+        );
+        nl.rename_net(y, "ny");
+        assert_eq!(nl.net_by_name("ny"), Some(y));
+        assert_eq!(nl.net_by_name("g1_1"), None);
     }
 
     #[test]

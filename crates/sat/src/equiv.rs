@@ -8,7 +8,8 @@
 
 use crate::encoder::encode_comb_with;
 use crate::{Lit, SatResult, Solver, SolverStats, Var};
-use glitchlock_netlist::{CombView, Netlist};
+use glitchlock_netlist::{CombView, Netlist, NetlistError};
+use std::fmt;
 
 /// Outcome of a bounded equivalence check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -23,36 +24,77 @@ pub enum EquivResult {
     },
 }
 
+/// Why two netlists could not be compared.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EquivError {
+    /// The designs have different primary input counts.
+    InputCount {
+        /// Inputs of the first design.
+        a: usize,
+        /// Inputs of the second design.
+        b: usize,
+    },
+    /// The designs have different primary output counts.
+    OutputCount {
+        /// Outputs of the first design.
+        a: usize,
+        /// Outputs of the second design.
+        b: usize,
+    },
+    /// A design is structurally invalid (e.g. combinationally cyclic).
+    Netlist(NetlistError),
+}
+
+impl fmt::Display for EquivError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EquivError::InputCount { a, b } => {
+                write!(f, "primary input counts differ: {a} vs {b}")
+            }
+            EquivError::OutputCount { a, b } => {
+                write!(f, "primary output counts differ: {a} vs {b}")
+            }
+            EquivError::Netlist(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for EquivError {}
+
 /// Checks `a` and `b` for output equality over all `k`-cycle input
 /// sequences from the all-zero state.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the interfaces disagree (primary input/output counts) or a
-/// netlist is cyclic.
-pub fn bounded_equiv(a: &Netlist, b: &Netlist, k: usize) -> EquivResult {
-    bounded_equiv_with_stats(a, b, k).0
+/// Returns [`EquivError`] if the interfaces disagree (primary input or
+/// output counts) or a netlist is cyclic.
+pub fn bounded_equiv(a: &Netlist, b: &Netlist, k: usize) -> Result<EquivResult, EquivError> {
+    bounded_equiv_with_stats(a, b, k).map(|(result, _)| result)
 }
 
 /// [`bounded_equiv`], additionally returning the solver's search
 /// statistics — the `sat_solver` benchmark uses these to report
 /// conflicts/sec on equivalence workloads.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the interfaces disagree (primary input/output counts) or a
-/// netlist is cyclic.
-pub fn bounded_equiv_with_stats(a: &Netlist, b: &Netlist, k: usize) -> (EquivResult, SolverStats) {
-    assert_eq!(
-        a.input_nets().len(),
-        b.input_nets().len(),
-        "primary input counts must agree"
-    );
-    assert_eq!(
-        a.output_ports().len(),
-        b.output_ports().len(),
-        "primary output counts must agree"
-    );
+/// See [`bounded_equiv`].
+pub fn bounded_equiv_with_stats(
+    a: &Netlist,
+    b: &Netlist,
+    k: usize,
+) -> Result<(EquivResult, SolverStats), EquivError> {
+    let (pi_a, pi_b) = (a.input_nets().len(), b.input_nets().len());
+    if pi_a != pi_b {
+        return Err(EquivError::InputCount { a: pi_a, b: pi_b });
+    }
+    let (po_a, po_b) = (a.output_ports().len(), b.output_ports().len());
+    if po_a != po_b {
+        return Err(EquivError::OutputCount { a: po_a, b: po_b });
+    }
+    for nl in [a, b] {
+        nl.topo_order_cached().map_err(EquivError::Netlist)?;
+    }
     let va = CombView::new(a);
     let vb = CombView::new(b);
     let n_pi = a.input_nets().len();
@@ -123,7 +165,7 @@ pub fn bounded_equiv_with_stats(a: &Netlist, b: &Netlist, k: usize) -> (EquivRes
             EquivResult::Counterexample { inputs }
         }
     };
-    (result, solver.stats())
+    Ok((result, solver.stats()))
 }
 
 #[cfg(test)]
@@ -151,21 +193,24 @@ mod tests {
     #[test]
     fn identical_netlists_are_equivalent() {
         let a = counter(false);
-        assert_eq!(bounded_equiv(&a, &a.clone(), 4), EquivResult::Equivalent);
+        assert_eq!(
+            bounded_equiv(&a, &a.clone(), 4).unwrap(),
+            EquivResult::Equivalent
+        );
     }
 
     #[test]
     fn optimized_netlist_is_equivalent() {
         let a = counter(false);
         let opt = glitchlock_synth::optimize(&a).unwrap();
-        assert_eq!(bounded_equiv(&a, &opt, 5), EquivResult::Equivalent);
+        assert_eq!(bounded_equiv(&a, &opt, 5).unwrap(), EquivResult::Equivalent);
     }
 
     #[test]
     fn different_output_logic_is_caught_with_valid_counterexample() {
         let a = counter(false);
         let b = counter(true);
-        let EquivResult::Counterexample { inputs } = bounded_equiv(&a, &b, 3) else {
+        let EquivResult::Counterexample { inputs } = bounded_equiv(&a, &b, 3).unwrap() else {
             panic!("inverter vs buffer must differ");
         };
         // Replay the counterexample on both machines and confirm a
@@ -195,9 +240,9 @@ mod tests {
         let ffb = b.dff_cells()[0];
         let zero = b.add_const(false);
         b.rewire_input(ffb, 0, zero).unwrap();
-        assert_eq!(bounded_equiv(&a, &b, 1), EquivResult::Equivalent);
+        assert_eq!(bounded_equiv(&a, &b, 1).unwrap(), EquivResult::Equivalent);
         assert!(matches!(
-            bounded_equiv(&a, &b, 2),
+            bounded_equiv(&a, &b, 2).unwrap(),
             EquivResult::Counterexample { .. }
         ));
         // Touch `a` to silence the unused-mut lint symmetry.
@@ -220,6 +265,29 @@ mod tests {
         // (The cross-crate SARLock case lives in the integration tests;
         // here we just confirm the checker accepts a self-comparison of a
         // sequential design with state.)
-        assert_eq!(bounded_equiv(&nl, &nl.clone(), 6), EquivResult::Equivalent);
+        assert_eq!(
+            bounded_equiv(&nl, &nl.clone(), 6).unwrap(),
+            EquivResult::Equivalent
+        );
+    }
+
+    #[test]
+    fn interface_mismatches_are_typed_errors() {
+        let a = counter(false);
+        let mut more_inputs = counter(false);
+        more_inputs.add_input("extra");
+        assert_eq!(
+            bounded_equiv(&a, &more_inputs, 2),
+            Err(EquivError::InputCount { a: 1, b: 2 })
+        );
+        let mut more_outputs = counter(false);
+        let q = more_outputs.output_nets()[0];
+        more_outputs.mark_output(q, "y2");
+        assert_eq!(
+            bounded_equiv(&more_outputs, &a, 2),
+            Err(EquivError::OutputCount { a: 2, b: 1 })
+        );
+        let err = bounded_equiv(&a, &more_outputs, 2).unwrap_err();
+        assert_eq!(err.to_string(), "primary output counts differ: 1 vs 2");
     }
 }

@@ -235,8 +235,10 @@ pub fn analyze(netlist: &Netlist, library: &Library, clock: &ClockModel) -> Timi
     }
 
     // Forward pass.
-    let order = netlist.topo_order().expect("netlist must be acyclic");
-    for cell in &order {
+    let order = netlist
+        .topo_order_cached()
+        .expect("netlist must be acyclic");
+    for cell in order {
         let c = netlist.cell(*cell);
         let delay = library.cell_delay(netlist, *cell);
         let out = c.output();

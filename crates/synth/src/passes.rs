@@ -8,7 +8,7 @@
 
 use crate::SynthError;
 use glitchlock_netlist::{CellId, GateKind, NetId, Netlist};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// How an old net maps into the rebuilt netlist.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,7 +70,7 @@ fn optimize_impl(netlist: &Netlist, keep_all_ffs: bool) -> Result<Netlist, Synth
     // logic can read their Q pins; rewired at the end.
     let mut ff_map: Vec<(CellId, CellId)> = Vec::new(); // (old, new)
     for &ff in netlist.dff_cells() {
-        if !live.contains(&ff) {
+        if !live[ff.index()] {
             continue;
         }
         let cell = netlist.cell(ff);
@@ -84,10 +84,10 @@ fn optimize_impl(netlist: &Netlist, keep_all_ffs: bool) -> Result<Netlist, Synth
     }
 
     let order = netlist
-        .topo_order()
+        .topo_order_cached()
         .map_err(|e| SynthError::Netlist(e.to_string()))?;
-    for cell_id in order {
-        if !live.contains(&cell_id) {
+    for &cell_id in order {
+        if !live[cell_id.index()] {
             continue;
         }
         let cell = netlist.cell(cell_id);
@@ -160,7 +160,7 @@ fn sweep_impl(netlist: &Netlist, keep_all_ffs: bool) -> Result<Netlist, SynthErr
     }
     let mut ff_map: Vec<(CellId, CellId)> = Vec::new();
     for &ff in netlist.dff_cells() {
-        if !live.contains(&ff) {
+        if !live[ff.index()] {
             continue;
         }
         let cell = netlist.cell(ff);
@@ -172,10 +172,10 @@ fn sweep_impl(netlist: &Netlist, keep_all_ffs: bool) -> Result<Netlist, SynthErr
         ff_map.push((ff, out.net(q).driver().expect("dff drives q")));
     }
     let order = netlist
-        .topo_order()
+        .topo_order_cached()
         .map_err(|e| SynthError::Netlist(e.to_string()))?;
-    for cell_id in order {
-        if !live.contains(&cell_id) {
+    for &cell_id in order {
+        if !live[cell_id.index()] {
             continue;
         }
         let cell = netlist.cell(cell_id);
@@ -207,13 +207,14 @@ fn sweep_impl(netlist: &Netlist, keep_all_ffs: bool) -> Result<Netlist, SynthErr
     Ok(out)
 }
 
-/// Cells that can influence a primary output (traversing flip-flops).
-fn live_cells(netlist: &Netlist) -> HashSet<CellId> {
+/// Cells that can influence a primary output (traversing flip-flops),
+/// indexed by cell.
+fn live_cells(netlist: &Netlist) -> Vec<bool> {
     live_from_roots(netlist, netlist.output_nets())
 }
 
 /// Cells reachable backwards from primary outputs *or* any flip-flop D pin.
-fn live_cells_with_state(netlist: &Netlist) -> HashSet<CellId> {
+fn live_cells_with_state(netlist: &Netlist) -> Vec<bool> {
     let mut roots = netlist.output_nets();
     for &ff in netlist.dff_cells() {
         roots.push(netlist.cell(ff).output());
@@ -221,21 +222,16 @@ fn live_cells_with_state(netlist: &Netlist) -> HashSet<CellId> {
     live_from_roots(netlist, roots)
 }
 
-fn live_from_roots(netlist: &Netlist, roots: Vec<NetId>) -> HashSet<CellId> {
-    let mut live_nets: HashSet<NetId> = HashSet::new();
-    let mut live: HashSet<CellId> = HashSet::new();
+fn live_from_roots(netlist: &Netlist, roots: Vec<NetId>) -> Vec<bool> {
+    let mut live = vec![false; netlist.cell_count()];
     let mut work: Vec<NetId> = roots;
     while let Some(net) = work.pop() {
-        if !live_nets.insert(net) {
-            continue;
-        }
         let Some(driver) = netlist.net(net).driver() else {
             continue;
         };
-        if live.insert(driver) {
-            for &inp in netlist.cell(driver).inputs() {
-                work.push(inp);
-            }
+        if !live[driver.index()] {
+            live[driver.index()] = true;
+            work.extend_from_slice(netlist.cell(driver).inputs());
         }
     }
     live

@@ -121,31 +121,44 @@ fn main() -> ExitCode {
     }
 }
 
-/// The flags one subcommand accepts, read from its `glk <sub>` lines (and
-/// their indented continuation lines) in [`USAGE`]: `--name` followed by a
-/// metavar takes one value, `[--name]` and `[--a|--b]` are switches, and
-/// `[OBS]` adds the flags of the OBS block.
+/// The flags and positionals one subcommand accepts, read from its
+/// `glk <sub>` lines (and their indented continuation lines) in [`USAGE`]:
+/// `--name` followed by a metavar takes one value, `[--name]` and
+/// `[--a|--b]` are switches, and `[OBS]` adds the flags of the OBS block.
+/// Every other word (`<in.bench>`, `[out.lib]`, `ping|metrics`) is one
+/// positional; a word ending in `…` repeats, and ` | ` separates
+/// alternative forms, as do repeated `glk <sub>` lines.
 #[derive(Default)]
 struct Accepted {
     /// Each declared flag, and whether it takes a value.
     flags: Vec<(&'static str, bool)>,
     obs: bool,
+    /// The most positionals any form takes; `None` when one repeats.
+    max_positional: Option<usize>,
 }
 
 impl Accepted {
     /// `None` when [`USAGE`] has no `glk <sub>` line.
     fn of(sub: &str) -> Option<Accepted> {
-        let mut accepted = Accepted::default();
+        let mut accepted = Accepted {
+            max_positional: Some(0),
+            ..Accepted::default()
+        };
         let (mut found, mut in_sub) = (false, false);
+        // Positionals of the form being read.
+        let mut form = 0;
         for line in USAGE.lines() {
+            let mut text = line;
             if let Some(rest) = line.trim_start().strip_prefix("glk ") {
                 in_sub = rest.split_whitespace().next() == Some(sub);
                 found |= in_sub;
+                form = 0;
+                text = rest.trim_start().trim_start_matches(sub);
             } else if !line.starts_with(' ') {
                 in_sub = false;
             }
             if in_sub {
-                accepted.declare(line);
+                accepted.declare(text, &mut form);
             }
         }
         if accepted.obs {
@@ -153,21 +166,34 @@ impl Accepted {
             // spaces before its description.
             let block = USAGE.lines().skip_while(|l| !l.starts_with("OBS"));
             for line in block.skip(1).take_while(|l| l.starts_with("  --")) {
-                accepted.declare(line.trim().split("  ").next().unwrap_or_default());
+                let flag = line.trim().split("  ").next().unwrap_or_default();
+                accepted.declare(flag, &mut form);
             }
         }
         found.then_some(accepted)
     }
 
-    fn declare(&mut self, text: &'static str) {
+    fn declare(&mut self, text: &'static str, form: &mut usize) {
         let mut tokens = text.split_whitespace().peekable();
         while let Some(token) = tokens.next() {
-            self.obs |= token == "[OBS]";
             if let Some(decl) = token.trim_start_matches('[').strip_prefix("--") {
                 let value = !decl.ends_with(']') && tokens.peek().is_some();
                 let names = decl.trim_end_matches(']').split('|');
                 self.flags
                     .extend(names.map(|n| (n.trim_start_matches("--"), value)));
+                if value {
+                    tokens.next(); // the metavar
+                }
+            } else if token == "[OBS]" {
+                self.obs = true;
+            } else if token == "|" {
+                *form = 0;
+            } else {
+                *form += 1;
+                self.max_positional = match self.max_positional {
+                    Some(_) if token.ends_with('…') => None,
+                    max => max.map(|m| m.max(*form)),
+                };
             }
         }
     }
@@ -207,6 +233,9 @@ impl Args {
                 ),
             };
             flags.push((name.to_string(), value));
+        }
+        if let Some(extra) = accepted.max_positional.and_then(|max| positional.get(max)) {
+            return Err(format!("unexpected argument {extra:?} for `glk {sub}`"));
         }
         Ok(Args {
             accepted,
@@ -1456,5 +1485,33 @@ mod tests {
         assert!(Args::parse("sta", argv(&["s.bench", "--period-ns"])).is_err());
         assert!(Args::parse("synth", argv(&["a", "b", "--resize", "--optimize"])).is_err());
         assert!(Args::parse("serve", argv(&["--job-timeout-ms", "5"])).is_err());
+    }
+
+    #[test]
+    fn usage_bounds_each_subcommands_positionals() {
+        for (sub, max) in [
+            ("stats", Some(1)),
+            ("lock-gk", Some(2)),
+            ("verify", Some(2)),
+            ("lib", Some(1)),
+            ("campaign", Some(0)),
+            ("fuzz", Some(0)),
+            ("trace-check", Some(1)),
+            ("help", Some(0)),
+            ("query", None),
+        ] {
+            assert_eq!(Accepted::of(sub).unwrap().max_positional, max, "{sub}");
+        }
+        let Err(err) = Args::parse("stats", argv(&["a.bench", "b.bench"])) else {
+            panic!("surplus positional accepted");
+        };
+        assert!(
+            err.contains("\"b.bench\"") && err.contains("stats"),
+            "{err}"
+        );
+        assert!(Args::parse("verify", argv(&["l", "o", "--key", "01"])).is_ok());
+        assert!(Args::parse("campaign", argv(&["--spec", "c.spec", "x"])).is_err());
+        let bulk = ["127.0.0.1:1", "oracle-bulk", "s27", "0101", "1010", "0000"];
+        assert_eq!(Args::parse("query", argv(&bulk)).unwrap().positional, bulk);
     }
 }

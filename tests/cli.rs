@@ -427,3 +427,27 @@ fn switches_never_take_the_next_argument() {
     let text = std::fs::read_to_string(&lib).unwrap();
     assert!(text.contains("cell (GKDLY"), "{text}");
 }
+
+#[test]
+fn surplus_positionals_are_usage_errors() {
+    let dir = tempdir();
+    let bench = write_s27(&dir);
+    let missing = dir.join("missing.bench");
+    let out = glk()
+        .arg("stats")
+        .arg(&bench)
+        .arg(&missing)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "stats ran on the first file");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("missing.bench") && err.contains("stats"),
+        "{err}"
+    );
+
+    // The declared count still runs.
+    let out = glk().arg("stats").arg(&bench).output().unwrap();
+    assert!(out.status.success());
+}

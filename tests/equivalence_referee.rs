@@ -31,7 +31,7 @@ fn optimize_is_equivalent_on_generated_benchmarks() {
         // optimize() may sweep dead state, changing the FF count; compare
         // primary outputs only — which bounded_equiv does by construction.
         assert_eq!(
-            bounded_equiv(&nl, &opt, 4),
+            bounded_equiv(&nl, &opt, 4).unwrap(),
             EquivResult::Equivalent,
             "seed {seed}"
         );
@@ -85,7 +85,7 @@ fn sarlock_bypass_is_exactly_equivalent() {
         }
     }
     assert_eq!(
-        bounded_equiv(&oracle, &tied, 5),
+        bounded_equiv(&oracle, &tied, 5).unwrap(),
         EquivResult::Equivalent,
         "bypass must restore the function exactly, for every input sequence"
     );
@@ -128,5 +128,8 @@ fn tdk_strip_preserves_function_exactly() {
             oracle.add_input(name.to_string());
         }
     }
-    assert_eq!(bounded_equiv(&oracle, &tied, 5), EquivResult::Equivalent);
+    assert_eq!(
+        bounded_equiv(&oracle, &tied, 5).unwrap(),
+        EquivResult::Equivalent
+    );
 }

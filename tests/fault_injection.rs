@@ -23,7 +23,7 @@ fn bmc_detects_injected_gate_swaps_or_proves_them_benign() {
     for round in 0..8 {
         let nl = generate(&tiny(90 + round));
         let faulty = inject_gate_swap(&nl, &mut rng);
-        match bounded_equiv(&nl, &faulty, 4) {
+        match bounded_equiv(&nl, &faulty, 4).expect("same interface") {
             EquivResult::Counterexample { inputs } => {
                 detected += 1;
                 // Replay: the counterexample must actually diverge.
