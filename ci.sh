@@ -210,6 +210,17 @@ tail -n 1 "$WORK/perfbench.out" | grep -q '"correct": true'
 tail -n 1 "$WORK/perfbench.out" | grep -q '"failed": 0,'
 grep -q 'warm-up pass digest 73ed1cb1bfe51e48$' "$WORK/perfbench.err"
 
+# perfbench corruptibility smoke: a short run of the hash-count estimator
+# and the exhaustive sweep on 56 locked s27 cells must report every op
+# correct and none failed. Its seed-1 warm-up digest pins every cell's
+# scores and the `count.*` counters, solver calls and encoded XOR rows
+# included: a change to the estimator's search shows here.
+python3 perfbench/run.py --workload corruptibility --seed 1 --seconds 3 --trace 0 \
+    > "$WORK/perfbench-count.out" 2> "$WORK/perfbench-count.err"
+tail -n 1 "$WORK/perfbench-count.out" | grep -q '"correct": true'
+tail -n 1 "$WORK/perfbench-count.out" | grep -q '"failed": 0,'
+grep -q 'warm-up pass digest 0a13ca804ac20f35$' "$WORK/perfbench-count.err"
+
 # perfbench oracle-serve smoke: a short run against the daemon (bulk and
 # single requests through the codec and the batcher) must check every
 # reply bit for bit and fail none. Correctness only; no wall-time gate.

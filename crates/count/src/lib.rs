@@ -38,9 +38,10 @@
 //!
 //! Determinism contract: every random draw (sampled key, XOR rows) comes
 //! from a [`rand::rngs::StdRng`] seeded by the caller — campaign runs key
-//! it on the spec fingerprint — and hash rows are drawn over projection
-//! *positions*, never solver variable ids, so estimates are bit-identical
-//! across worker counts, shards, and resume.
+//! it on the bench, the locker cell and the `count` directive — and hash
+//! rows are drawn over projection *positions*, never solver variable ids,
+//! so estimates are bit-identical across worker counts, shards, and
+//! resume.
 
 #![deny(missing_docs)]
 

@@ -54,7 +54,8 @@ pub struct ScoreConfig {
     /// the design is skipped.
     pub max_bits: usize,
     /// Root seed for the sampled key and all hash draws. Campaigns derive
-    /// it from the spec fingerprint so estimates survive re-sharding.
+    /// it from the bench, the locker cell and the `count` directive, so
+    /// estimates survive re-sharding and edits to the rest of the spec.
     pub seed: u64,
 }
 

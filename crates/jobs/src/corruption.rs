@@ -4,10 +4,12 @@
 //! bench × locker cell: the three `glitchlock-count` scores (wrong-key
 //! error rate, DIP-space size, wrong-key count) plus the engine tag.
 //! Rows are computed here, at report-render time, **never** inside pool
-//! jobs — they are a pure function of the spec (locking RNG and count
-//! seeds both derive from the spec fingerprint), so `--jobs 1`,
-//! `--jobs 8`, sharded, and resumed campaigns render byte-identical
-//! reports without journaling a single extra field.
+//! jobs — each is a pure function of its bench, its locker cell and the
+//! `count` directive (locking RNG and count seeds both derive from those
+//! three alone), so `--jobs 1`, `--jobs 8`, sharded, and resumed
+//! campaigns render byte-identical reports without journaling a single
+//! extra field, and editing a spec's attacks, seeds or samples leaves
+//! its count rows as they were.
 
 use crate::job::{lock, resolve_bench, LockerKind};
 use crate::spec::{fnv1a64, CampaignSpec};
@@ -44,20 +46,19 @@ pub struct CorruptionRow {
 
 /// Computes the corruptibility rows for `spec`, in bench × locker order.
 /// Returns an empty list when the spec has no `count` directive. All
-/// randomness (locking and hash draws) is seeded from the spec
-/// fingerprint, so the rows — like the rest of the report — are a pure
-/// function of the spec.
+/// randomness (locking and hash draws) of a row is seeded from its bench,
+/// its locker cell and the rendered directive, so each row is a pure
+/// function of those and no other spec line moves it.
 pub fn corruption_rows(spec: &CampaignSpec) -> Vec<CorruptionRow> {
     let Some(directive) = spec.count else {
         return Vec::new();
     };
-    let fingerprint = fnv1a64(&spec.render());
+    let rendered = directive.render();
     let mut rows = Vec::new();
     for bench in &spec.benches {
         for &(locker, width) in &spec.lockers {
             let cell = format!("{}{width}", locker.tag());
-            let salt = fnv1a64(&format!("count/{bench}/{cell}"));
-            let seed = fingerprint ^ salt;
+            let seed = fnv1a64(&format!("count/{bench}/{cell}/{rendered}"));
             let mut row = CorruptionRow {
                 bench: bench.clone(),
                 cell,

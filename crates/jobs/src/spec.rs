@@ -48,6 +48,16 @@ pub struct CountDirective {
     pub exact_bits: usize,
 }
 
+impl CountDirective {
+    /// The directive's spec line, without the newline.
+    pub fn render(&self) -> String {
+        format!(
+            "count {} {} {} {}",
+            self.epsilon, self.delta, self.max_bits, self.exact_bits
+        )
+    }
+}
+
 /// A parsed campaign spec: the job matrix plus shared tuning.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignSpec {
@@ -244,11 +254,7 @@ impl CampaignSpec {
         let _ = writeln!(out, "max-iters {}", self.max_iterations);
         let _ = writeln!(out, "samples {}", self.samples);
         if let Some(c) = &self.count {
-            let _ = writeln!(
-                out,
-                "count {} {} {} {}",
-                c.epsilon, c.delta, c.max_bits, c.exact_bits
-            );
+            let _ = writeln!(out, "{}", c.render());
         }
         out
     }

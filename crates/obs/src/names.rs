@@ -179,7 +179,7 @@ pub const COUNT_RUNS: &str = "count.runs";
 pub const COUNT_SCORES: &str = "count.scores";
 /// SAT solver invocations spent in hash-count cell enumeration.
 pub const COUNT_SOLVER_CALLS: &str = "count.solver.calls";
-/// Random XOR parity rows drawn and encoded onto miter CNFs.
+/// Random XOR parity rows encoded onto miter CNFs.
 pub const COUNT_XOR_ROWS: &str = "count.xor_rows";
 /// Exhaustive ground-truth sweeps (one per key value swept).
 pub const COUNT_EXHAUSTIVE_SWEEPS: &str = "count.exhaustive.sweeps";

@@ -7,6 +7,8 @@
 //!   `--resume` produces reports byte-identical to the uninterrupted run,
 //!   and the journal proves the resumed run did not re-execute any
 //!   journaled job.
+//! * Corruptibility rows depend only on the bench, the locker cell and
+//!   the `count` directive, not on the spec's other lines.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -164,6 +166,55 @@ fn counted_reports_are_deterministic_across_schedules_and_shards() {
     let merged_json = std::fs::read_to_string(dir.join("merged.report.json")).unwrap();
     assert_eq!(serial.text, merged_text, "merged text diverged");
     assert_eq!(serial.json, merged_json, "merged json diverged");
+}
+
+/// The corruptibility section of a text report: its header through the
+/// last row.
+fn count_section(text: &str) -> String {
+    let start = text.find("corruptibility (").expect("count section");
+    text[start..]
+        .lines()
+        .take_while(|l| !l.is_empty())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// A count row is seeded from its bench, its locker cell and the `count`
+/// directive alone: a spec that changes only its attacks, seeds and
+/// sample budget renders the same corruptibility rows.
+#[test]
+fn count_rows_ignore_attacks_seeds_and_samples() {
+    let directive = "count 0.8 0.2 20 6\n";
+    let base = campaign_with_spec(
+        &tempdir("cnt-base"),
+        "run",
+        &format!("{SPEC}{directive}"),
+        &["--jobs", "2"],
+    );
+    let edited = "\
+bench s27
+locker xor 3
+locker sarlock 3
+locker gk 1
+attack sat
+seeds 9
+max-iters 64
+samples 128
+";
+    let other = campaign_with_spec(
+        &tempdir("cnt-edited"),
+        "run",
+        &format!("{edited}{directive}"),
+        &["--jobs", "2"],
+    );
+    assert_ne!(base.text, other.text, "the verdict tables differ");
+    let rows = count_section(&base.text);
+    assert_eq!(
+        rows.lines().count(),
+        5,
+        "header, columns, three cells:\n{rows}"
+    );
+    assert_eq!(rows, count_section(&other.text));
 }
 
 #[test]
