@@ -199,6 +199,9 @@ grep -Eq 'key-classes +1$' "$WORK/count1.out"
     --trace "$WORK/count.jsonl" > /dev/null
 "$GLK" trace-check "$WORK/count.jsonl" --sites count
 "$GLK" fuzz --seed 11 --cases 60 --referee count-vs-exhaustive
+# Seed 3 draws MUX key-gates between an input and a flip-flop Q, the
+# sequential shape whose DIP and wrong-key counts must reach the solver.
+"$GLK" fuzz --seed 3 --cases 300 --referee count-vs-exhaustive
 
 # perfbench smoke: a short lock-flow run (parse, STA, feasibility, GK
 # insertion, SAT attack on the seven IWLS profiles) must report every op
@@ -219,7 +222,7 @@ python3 perfbench/run.py --workload corruptibility --seed 1 --seconds 3 --trace 
     > "$WORK/perfbench-count.out" 2> "$WORK/perfbench-count.err"
 tail -n 1 "$WORK/perfbench-count.out" | grep -q '"correct": true'
 tail -n 1 "$WORK/perfbench-count.out" | grep -q '"failed": 0,'
-grep -q 'warm-up pass digest 0a13ca804ac20f35$' "$WORK/perfbench-count.err"
+grep -q 'warm-up pass digest b243c7c2e76ce205$' "$WORK/perfbench-count.err"
 
 # perfbench oracle-serve smoke: a short run against the daemon (bulk and
 # single requests through the codec and the batcher) must check every

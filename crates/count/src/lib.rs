@@ -32,9 +32,9 @@
 //! [`scores::corruption_scores`] dispatches between them (both run below
 //! the exact cutoff, so every estimate is cross-checked for free), builds
 //! the miters through the same encoder ([`glitchlock_sat::encode_comb_with`])
-//! as the SAT attack, and prunes with the dataflow refined key-taint
-//! bitsets: untainted view outputs leave the DIP miter, untainted key
-//! bits leave the wrong-key projection with an exact `2^dead` multiplier.
+//! as the SAT attack, over every view output and every key bit. No
+//! structural pruning runs first: a key that reaches no output shows up
+//! as an UNSAT miter, which is how the GK attack view's `dip = 0` lands.
 //!
 //! Determinism contract: every random draw (sampled key, XOR rows) comes
 //! from a [`rand::rngs::StdRng`] seeded by the caller — campaign runs key

@@ -14,17 +14,13 @@
 //!   projected onto the data variables: the distinguishing-input space
 //!   the SAT attack mines.
 //!
-//! The dataflow refined key-taint bitsets prune both SAT sessions: view
-//! outputs no key bit taints leave the DIP miter (two copies of the same
-//! function cannot differ there; when *every* output is untainted,
-//! `dip = 0` needs no solver call at all), and key bits that taint no
-//! output leave the wrong-key projection with an exact `2^dead`
-//! multiplier. Key-independence the taint cannot see statically — the GK
-//! attack view's MUX of two delay-chain branches — still resolves
-//! cheaply: the DIP miter is UNSAT, so its base enumeration returns an
-//! exact zero before any hashing. That `dip = 0, one key class, yet
-//! every key statically wrong` signature is the paper's headline
-//! quantified.
+//! Both sessions span every view output and every key bit: whether a
+//! key bit matters is the solver's question alone. The GK attack view's
+//! key-independence — each key-gate computes `MUX(k, XNOR(x, k),
+//! XOR(x, k)) = ¬x` — resolves cheaply all the same: the DIP miter is
+//! UNSAT, so its base enumeration returns an exact zero before any
+//! hashing. That `dip = 0, one key class, yet every key statically
+//! wrong` signature is the paper's headline quantified.
 //!
 //! Below the exact cutoff the packed exhaustive sweep *also* runs, so
 //! every estimate ships with its ground truth attached.
@@ -32,7 +28,6 @@
 use crate::estimator::{approx_count, CountParams};
 use crate::exhaustive::{exact_scores, MAX_EXACT_BITS};
 use crate::view::KeyedView;
-use glitchlock_dataflow::{const_facts, taint_facts, TaintMode, ValueNumbering};
 use glitchlock_netlist::{CombView, NetId, Netlist};
 use glitchlock_obs::{self as obs, names};
 use glitchlock_sat::{encode_comb_with, Lit, Solver, Var};
@@ -163,13 +158,13 @@ fn mix(seed: u64, salt: &str) -> u64 {
     h
 }
 
-/// XOR-differences the selected output pairs and returns a gate variable
-/// whose assumption demands at least one difference.
-fn miter_gate(solver: &mut Solver, pairs: &[(Var, Var)]) -> Var {
-    let mut clause = Vec::with_capacity(pairs.len() + 1);
+/// XOR-differences the output pairs `(a[i], b[i])` and returns a gate
+/// variable whose assumption demands at least one difference.
+fn miter_gate(solver: &mut Solver, a: &[Var], b: &[Var]) -> Var {
+    let mut clause = Vec::with_capacity(a.len() + 1);
     let gate = solver.new_var();
     clause.push(Lit::neg(gate));
-    for &(a, b) in pairs {
+    for (&a, &b) in a.iter().zip(b) {
         let d = solver.new_var();
         solver.add_clause(&[Lit::neg(d), Lit::pos(a), Lit::pos(b)]);
         solver.add_clause(&[Lit::neg(d), Lit::neg(a), Lit::neg(b)]);
@@ -265,21 +260,6 @@ fn estimate_scores(
     scores: &mut CorruptionScores,
 ) {
     let locked = kv.netlist;
-    let kappa = kv.key_bits();
-    // Refined key taint in view-order key-bit indexing, shared by both
-    // pruning decisions.
-    let key_nets = kv.key_nets();
-    let consts = const_facts(locked, &[]);
-    let vn = ValueNumbering::build(locked);
-    let refined = taint_facts(
-        locked,
-        &key_nets,
-        TaintMode::Refined {
-            vn: &vn,
-            consts: &consts,
-        },
-        true,
-    );
 
     // Session A: view vs oracle, data shared, keys free. Serves err (key
     // pinned by assumptions) and wrong-keys (keys free) on one solver.
@@ -291,13 +271,7 @@ fn estimate_scores(
         .map(|&p| Some(vio.input_vars[p]))
         .collect();
     let oio = encode_comb_with(&mut solver, oracle, oview, &pinned);
-    let pairs: Vec<(Var, Var)> = vio
-        .output_vars
-        .iter()
-        .copied()
-        .zip(oio.output_vars.iter().copied())
-        .collect();
-    let gate = miter_gate(&mut solver, &pairs);
+    let gate = miter_gate(&mut solver, &vio.output_vars, &oio.output_vars);
     let data_vars: Vec<Var> = kv.data_ix.iter().map(|&p| vio.input_vars[p]).collect();
     let key_vars: Vec<Var> = kv.key_ix.iter().map(|&p| vio.input_vars[p]).collect();
 
@@ -315,40 +289,15 @@ fn estimate_scores(
         scores.err.exact = err.exact;
     }
 
-    // Wrong keys: key bits that taint no view output cannot change the
-    // function; they leave the projection and return as an exact 2^dead
-    // multiplier.
-    let live: Vec<Var> = (0..kappa)
-        .filter(|&i| {
-            kv.view
-                .output_nets()
-                .iter()
-                .any(|&o| refined.net(o).contains(i))
-        })
-        .map(|i| key_vars[i])
-        .collect();
-    let dead = (kappa - live.len()) as u32;
+    // Wrong keys: the same miter with the key assumptions dropped.
     let mut rng = StdRng::seed_from_u64(mix(cfg.seed, "wrong-keys"));
-    let wk = approx_count(&mut solver, &[Lit::pos(gate)], &live, params, &mut rng);
-    scores.wrong_keys.estimate = Some(wk.estimate * (2f64).powi(dead as i32));
+    let wk = approx_count(&mut solver, &[Lit::pos(gate)], &key_vars, params, &mut rng);
+    scores.wrong_keys.estimate = Some(wk.estimate);
     if scores.wrong_keys.exact.is_none() {
-        scores.wrong_keys.exact = wk.exact.map(|c| c << dead);
+        scores.wrong_keys.exact = wk.exact;
     }
 
-    // Session B: the DIP miter — two view copies sharing data, free keys,
-    // restricted to the key-tainted outputs. No tainted output means no
-    // input can distinguish any two keys: dip = 0 with no solver call
-    // (the GK attack view lands here through the identity laundering).
-    let tainted_outputs: Vec<usize> = (0..kv.view.num_outputs())
-        .filter(|&oi| !refined.net(kv.view.output_nets()[oi]).is_empty())
-        .collect();
-    if tainted_outputs.is_empty() {
-        scores.dip.estimate = Some(0.0);
-        if scores.dip.exact.is_none() {
-            scores.dip.exact = Some(0);
-        }
-        return;
-    }
+    // Session B: the DIP miter — two view copies sharing data, free keys.
     let mut solver = Solver::new();
     let one = encode_comb_with(&mut solver, locked, &kv.view, &[]);
     let mut pinned: Vec<Option<Var>> = vec![None; kv.view.num_inputs()];
@@ -356,11 +305,7 @@ fn estimate_scores(
         pinned[p] = Some(one.input_vars[p]);
     }
     let two = encode_comb_with(&mut solver, locked, &kv.view, &pinned);
-    let pairs: Vec<(Var, Var)> = tainted_outputs
-        .iter()
-        .map(|&oi| (one.output_vars[oi], two.output_vars[oi]))
-        .collect();
-    let gate = miter_gate(&mut solver, &pairs);
+    let gate = miter_gate(&mut solver, &one.output_vars, &two.output_vars);
     let data_vars: Vec<Var> = kv.data_ix.iter().map(|&p| one.input_vars[p]).collect();
     let mut rng = StdRng::seed_from_u64(mix(cfg.seed, "dip"));
     let dip = approx_count(&mut solver, &[Lit::pos(gate)], &data_vars, params, &mut rng);
@@ -419,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_key_prunes_to_zero_without_corruption() {
+    fn a_masked_key_counts_zero_through_the_solver() {
         let oracle = oracle_and();
         let mut nl = Netlist::new("l");
         let a = nl.add_input("a");

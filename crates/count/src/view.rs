@@ -55,15 +55,6 @@ impl<'a> KeyedView<'a> {
         self.key_ix.len()
     }
 
-    /// Key input nets in view order — the order key-bit indices use, and
-    /// the order the taint engine must be given so bit `i` lines up.
-    pub fn key_nets(&self) -> Vec<NetId> {
-        self.key_ix
-            .iter()
-            .map(|&i| self.view.input_nets()[i])
-            .collect()
-    }
-
     /// Assembles one full view-input pattern: bit `j` of `data` drives
     /// data position `j`, `key[i]` drives key position `i`.
     ///
@@ -107,7 +98,6 @@ mod tests {
         assert_eq!(kv.key_bits(), 1);
         assert_eq!(kv.data_ix, vec![0, 2]);
         assert_eq!(kv.key_ix, vec![1]);
-        assert_eq!(kv.key_nets(), keys);
     }
 
     #[test]

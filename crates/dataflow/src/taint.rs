@@ -214,6 +214,32 @@ mod tests {
     }
 
     #[test]
+    fn a_flip_flop_q_is_its_own_value_class() {
+        // MUX(pi0, ff_q, key): the arms differ whenever the state does,
+        // so the key selects between them and must reach the output.
+        let mut nl = Netlist::new("ffmux");
+        let pi0 = nl.add_input("pi0");
+        let k = nl.add_input("key0");
+        let q = nl.add_dff(pi0).unwrap();
+        let y = nl.add_gate(GateKind::Mux2, &[pi0, q, k]).unwrap();
+        nl.mark_output(y, "y");
+
+        let vn = ValueNumbering::build(&nl);
+        assert_ne!(vn.class(q), vn.class(pi0));
+        let consts = const_facts(&nl, &[]);
+        let refined = taint_facts(
+            &nl,
+            &[k],
+            TaintMode::Refined {
+                vn: &vn,
+                consts: &consts,
+            },
+            true,
+        );
+        assert!(refined.net(y).contains(0), "the select is live");
+    }
+
+    #[test]
     fn refined_taint_kills_key_through_gk_identity() {
         let mut nl = Netlist::new("gk");
         let x = nl.add_input("x");

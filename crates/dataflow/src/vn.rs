@@ -66,17 +66,17 @@ impl ValueNumbering {
         };
 
         let mut cons: HashMap<Def, Class> = HashMap::new();
-        // Primary inputs first: they are sources, not cell outputs.
-        for &pi in nl.input_nets() {
-            let class = vn.fresh(None, pi);
-            vn.class_of_net[pi.index()] = class;
+        // Primary inputs and flip-flop Qs first: they are opaque sources,
+        // and the topological order lists combinational cells only.
+        let ff_qs = nl.dff_cells().iter().map(|&c| nl.cell(c).output());
+        for source in nl.input_nets().iter().copied().chain(ff_qs) {
+            let class = vn.fresh(None, source);
+            vn.class_of_net[source.index()] = class;
         }
         for &cid in order {
             let cell = nl.cell(cid);
             let out = cell.output();
             let class = match cell.kind() {
-                GateKind::Input => continue, // numbered above
-                GateKind::Dff => vn.fresh(None, out),
                 GateKind::Buf => vn.class_of_net[cell.inputs()[0].index()],
                 kind => {
                     let mut operands: Vec<Class> = cell

@@ -163,6 +163,48 @@ pub enum Op {
     Shutdown,
 }
 
+impl Op {
+    /// The wire tag.
+    pub(crate) fn tag(&self) -> &'static str {
+        match self {
+            Op::Ping => "ping",
+            Op::LoadBench { .. } => "load-bench",
+            Op::LoadNetlist { .. } => "load-netlist",
+            Op::Oracle { .. } => "oracle",
+            Op::OracleBulk { .. } => "oracle-bulk",
+            Op::OracleSweep { .. } => "oracle-sweep",
+            Op::Attack(_) => "attack",
+            Op::Campaign { .. } => "campaign",
+            Op::Metrics => "metrics",
+            Op::Sleep { .. } => "sleep",
+            Op::Shutdown => "shutdown",
+        }
+    }
+
+    /// The request fields this op defines beside `id` and `op`.
+    fn fields(&self) -> &'static [&'static str] {
+        match self {
+            Op::Ping | Op::Metrics | Op::Shutdown => &[],
+            Op::LoadBench { .. } => &["name"],
+            Op::LoadNetlist { .. } => &["name", "bench"],
+            Op::Oracle { .. } => &["design", "pattern"],
+            Op::OracleBulk { .. } => &["design", "patterns"],
+            Op::OracleSweep { .. } => &["design", "count", "seed"],
+            Op::Attack(_) => &[
+                "bench",
+                "locker",
+                "width",
+                "attack",
+                "seed",
+                "max_iters",
+                "samples",
+            ],
+            Op::Campaign { .. } => &["spec", "shard"],
+            Op::Sleep { .. } => &["ms"],
+        }
+    }
+}
+
 /// A framed request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Request {
@@ -306,25 +348,20 @@ fn opt_str(v: &Value, key: &str) -> Result<Option<String>, String> {
 impl Request {
     /// Renders the request as canonical JSON.
     pub fn to_json(&self) -> Value {
-        let mut pairs: Vec<(&str, Value)> = vec![("id", num_v(self.id))];
+        let mut pairs: Vec<(&str, Value)> =
+            vec![("id", num_v(self.id)), ("op", str_v(self.op.tag()))];
         match &self.op {
-            Op::Ping => pairs.push(("op", str_v("ping"))),
-            Op::LoadBench { name } => {
-                pairs.push(("op", str_v("load-bench")));
-                pairs.push(("name", str_v(name)));
-            }
+            Op::Ping | Op::Metrics | Op::Shutdown => {}
+            Op::LoadBench { name } => pairs.push(("name", str_v(name))),
             Op::LoadNetlist { name, bench } => {
-                pairs.push(("op", str_v("load-netlist")));
                 pairs.push(("name", str_v(name)));
                 pairs.push(("bench", str_v(bench)));
             }
             Op::Oracle { design, pattern } => {
-                pairs.push(("op", str_v("oracle")));
                 pairs.push(("design", str_v(design)));
                 pairs.push(("pattern", str_v(pattern)));
             }
             Op::OracleBulk { design, patterns } => {
-                pairs.push(("op", str_v("oracle-bulk")));
                 pairs.push(("design", str_v(design)));
                 pairs.push((
                     "patterns",
@@ -336,13 +373,11 @@ impl Request {
                 count,
                 seed,
             } => {
-                pairs.push(("op", str_v("oracle-sweep")));
                 pairs.push(("design", str_v(design)));
                 pairs.push(("count", num_v(*count)));
                 pairs.push(("seed", num_v(*seed)));
             }
             Op::Attack(job) => {
-                pairs.push(("op", str_v("attack")));
                 pairs.push(("bench", str_v(&job.bench)));
                 pairs.push(("locker", str_v(&job.locker)));
                 pairs.push(("width", num_v(job.width as u64)));
@@ -352,18 +387,12 @@ impl Request {
                 pairs.push(("samples", num_v(job.samples as u64)));
             }
             Op::Campaign { spec, shard } => {
-                pairs.push(("op", str_v("campaign")));
                 pairs.push(("spec", str_v(spec)));
                 if let Some((index, count)) = shard {
                     pairs.push(("shard", str_v(&format!("{index}/{count}"))));
                 }
             }
-            Op::Metrics => pairs.push(("op", str_v("metrics"))),
-            Op::Sleep { ms } => {
-                pairs.push(("op", str_v("sleep")));
-                pairs.push(("ms", num_v(*ms)));
-            }
-            Op::Shutdown => pairs.push(("op", str_v("shutdown"))),
+            Op::Sleep { ms } => pairs.push(("ms", num_v(*ms))),
         }
         obj(pairs)
     }
@@ -398,26 +427,15 @@ impl Request {
                 count: get_u64(v, "count")?,
                 seed: get_u64(v, "seed")?,
             },
-            "attack" => {
-                // One solver profile and one CNF encoder serve every
-                // attack; a request that names either is refused rather
-                // than silently run on them.
-                if let Some(field) = ["solver", "encoder"]
-                    .into_iter()
-                    .find(|f| v.get(f).is_some())
-                {
-                    return Err(format!("attack field `{field}` is not supported"));
-                }
-                Op::Attack(AttackJob {
-                    bench: get_str(v, "bench")?,
-                    locker: get_str(v, "locker")?,
-                    width: get_u64(v, "width")? as usize,
-                    attack: get_str(v, "attack")?,
-                    seed: get_u64(v, "seed")?,
-                    max_iters: get_u64(v, "max_iters")? as usize,
-                    samples: get_u64(v, "samples")? as usize,
-                })
-            }
+            "attack" => Op::Attack(AttackJob {
+                bench: get_str(v, "bench")?,
+                locker: get_str(v, "locker")?,
+                width: get_u64(v, "width")? as usize,
+                attack: get_str(v, "attack")?,
+                seed: get_u64(v, "seed")?,
+                max_iters: get_u64(v, "max_iters")? as usize,
+                samples: get_u64(v, "samples")? as usize,
+            }),
             "campaign" => Op::Campaign {
                 spec: get_str(v, "spec")?,
                 shard: match opt_str(v, "shard")? {
@@ -432,6 +450,18 @@ impl Request {
             "shutdown" => Op::Shutdown,
             other => return Err(format!("unknown op `{other}`")),
         };
+        // A field the op does not define is refused rather than ignored:
+        // a retired option (an attack's `solver`, say) or a misspelling
+        // must not run silently on defaults.
+        if let Value::Obj(map) = v {
+            let fields = op.fields();
+            if let Some(key) = map
+                .keys()
+                .find(|k| !matches!(k.as_str(), "id" | "op") && !fields.contains(&k.as_str()))
+            {
+                return Err(format!("{op_tag} field `{key}` is not supported"));
+            }
+        }
         Ok(Request { id, op })
     }
 

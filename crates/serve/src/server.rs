@@ -396,24 +396,8 @@ fn handle_payload(shared: &Arc<Shared>, client: u64, writer: &Arc<ConnWriter>, p
             return;
         }
     };
-    obs::incr(&names::serve_req(op_tag(&request.op)));
+    obs::incr(&names::serve_req(request.op.tag()));
     dispatch(shared, writer, request);
-}
-
-fn op_tag(op: &Op) -> &'static str {
-    match op {
-        Op::Ping => "ping",
-        Op::LoadBench { .. } => "load-bench",
-        Op::LoadNetlist { .. } => "load-netlist",
-        Op::Oracle { .. } => "oracle",
-        Op::OracleBulk { .. } => "oracle-bulk",
-        Op::OracleSweep { .. } => "oracle-sweep",
-        Op::Attack(_) => "attack",
-        Op::Campaign { .. } => "campaign",
-        Op::Metrics => "metrics",
-        Op::Sleep { .. } => "sleep",
-        Op::Shutdown => "shutdown",
-    }
 }
 
 fn dispatch(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, request: Request) {

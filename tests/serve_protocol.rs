@@ -7,6 +7,7 @@
 //! response, never a panic and never a wedged server.
 
 use glitchlock::jobs::JobRecord;
+use glitchlock::obs::json::{self, Value};
 use glitchlock::obs::Collector;
 use glitchlock::serve::{
     read_frame, start, write_frame, AttackJob, Client, ErrorCode, FrameError, Op, Reply, Request,
@@ -363,6 +364,40 @@ fn attack_requests_naming_a_solver_or_encoder_are_refused() {
         };
         assert_eq!(code, ErrorCode::BadRequest, "{field}");
         assert!(message.contains("is not supported"), "{field}: {message}");
+    }
+}
+
+#[test]
+fn a_field_an_op_does_not_define_is_refused() {
+    let server = start(ServerConfig::default(), Arc::new(Collector::new())).expect("start");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    for request in all_requests() {
+        let payload = request.encode();
+        let back = Request::decode(&payload).expect("the request as sent is accepted");
+        assert_eq!(back.encode(), payload, "{request:?}");
+        // An unknown name, and a name only some other op defines.
+        let borrowed = match request.op {
+            Op::Campaign { .. } => "pattern",
+            _ => "shard",
+        };
+        for extra in ["verbose", borrowed] {
+            let Ok(Value::Obj(mut map)) = json::parse(std::str::from_utf8(&payload).unwrap())
+            else {
+                panic!("requests are objects");
+            };
+            map.insert(extra.to_string(), Value::Bool(true));
+            let text = Value::Obj(map).to_string();
+            let response = raw_exchange(&mut stream, text.as_bytes());
+            assert_eq!(response.id, request.id, "{text}");
+            let Reply::Error { code, message } = response.reply else {
+                panic!("{text}: expected an error reply");
+            };
+            assert_eq!(code, ErrorCode::BadRequest, "{text}");
+            assert!(
+                message.contains(&format!("`{extra}` is not supported")),
+                "{text}: {message}"
+            );
+        }
     }
 }
 
