@@ -224,6 +224,16 @@ tail -n 1 "$WORK/perfbench-count.out" | grep -q '"correct": true'
 tail -n 1 "$WORK/perfbench-count.out" | grep -q '"failed": 0,'
 grep -q 'warm-up pass digest b243c7c2e76ce205$' "$WORK/perfbench-count.err"
 
+# perfbench dip-loop smoke: a short run of the XOR/MUX/SARLock attacks to
+# convergence on 120 locked cells must report every op correct and none
+# failed. Its seed-1 warm-up digest pins the static lockers' netlists and,
+# through them, the CNF order, the DIPs and the recovered keys.
+python3 perfbench/run.py --workload dip-loop --seed 1 --seconds 3 --trace 0 \
+    > "$WORK/perfbench-dip.out" 2> "$WORK/perfbench-dip.err"
+tail -n 1 "$WORK/perfbench-dip.out" | grep -q '"correct": true'
+tail -n 1 "$WORK/perfbench-dip.out" | grep -q '"failed": 0,'
+grep -q 'warm-up pass digest 2515d84cb5bce7b5$' "$WORK/perfbench-dip.err"
+
 # perfbench oracle-serve smoke: a short run against the daemon (bulk and
 # single requests through the codec and the batcher) must check every
 # reply bit for bit and fail none. Correctness only; no wall-time gate.

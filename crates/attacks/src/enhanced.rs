@@ -112,7 +112,7 @@ pub fn replace_gks_with_xor(
         out.rewire_input(new_ff, 0, d).expect("pin 0");
     }
     for (po, name) in netlist.output_ports() {
-        out.mark_output(map[po.index()].expect("live po"), name.clone());
+        out.mark_output(map[po.index()].expect("live po"), name);
     }
     let swept = glitchlock_synth::sweep_sequential(&out).expect("valid sweep");
     // Re-find nets by name after sweeping.

@@ -230,7 +230,7 @@ pub fn bypass_net(netlist: &Netlist, net: NetId, value: bool) -> Netlist {
         out.rewire_input(new_ff, 0, d).expect("pin 0 exists");
     }
     for (po, name) in netlist.output_ports() {
-        out.mark_output(map[po.index()].expect("live"), name.clone());
+        out.mark_output(map[po.index()].expect("live"), name);
     }
     glitchlock_synth::sweep_sequential(&out).expect("swept netlist is valid")
 }
@@ -245,7 +245,6 @@ pub fn reachable_view_outputs(netlist: &Netlist, net: NetId) -> Vec<usize> {
     let n_po = netlist.output_ports().len();
     let mut keep: Vec<usize> = netlist
         .output_ports()
-        .iter()
         .enumerate()
         .filter(|(_, (n, _))| cone_nets.contains(n))
         .map(|(j, _)| j)

@@ -5,8 +5,9 @@
 //! group makes scan-based attacks harder: the corruption from every key-gate
 //! aliases onto the same observable outputs.
 
-use glitchlock_netlist::{output_reach, CellId, Netlist, NetlistError};
-use std::collections::{BTreeSet, HashMap};
+use glitchlock_netlist::{output_reach, CellId, Netlist, NetlistError, OutputReach};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BTreeSet;
 
 /// A group of flip-flops whose Q pins reach exactly the same primary
 /// outputs.
@@ -33,27 +34,68 @@ pub fn group_by_output_cone(
     candidates: &[CellId],
 ) -> Result<Vec<FfGroup>, NetlistError> {
     let reach = output_reach(netlist)?;
-    let mut groups: HashMap<&[u64], Vec<CellId>> = HashMap::new();
-    for &ff in candidates {
-        let q = netlist.cell(ff).output();
-        groups.entry(reach.words(q)).or_default().push(ff);
-    }
-    let mut v: Vec<FfGroup> = groups
-        .into_values()
-        .map(|ffs| FfGroup {
-            outputs: reach.outputs(netlist.cell(ffs[0]).output()),
-            ffs,
+    let (ffs, lens) = order_groups(netlist, &reach, candidates);
+    let mut rest = &ffs[..];
+    Ok(lens
+        .iter()
+        .map(|&len| {
+            let (group, tail) = rest.split_at(len);
+            rest = tail;
+            FfGroup {
+                outputs: reach.outputs(netlist.cell(group[0]).output()),
+                ffs: group.to_vec(),
+            }
         })
-        .collect();
-    // Output sets are distinct, so this order is total: the map's
-    // iteration order never shows.
-    v.sort_by(|a, b| {
-        b.ffs
-            .len()
-            .cmp(&a.ffs.len())
-            .then(a.outputs.cmp(&b.outputs))
-    });
-    Ok(v)
+        .collect())
+}
+
+/// The grouping of [`group_by_output_cone`] without an output set and a
+/// vector per group: every group's flip-flops back to back in its group
+/// order, and the group lengths.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::CombinationalCycle`] on a cyclic netlist.
+pub(crate) fn output_cone_order(
+    netlist: &Netlist,
+    candidates: &[CellId],
+) -> Result<(Vec<CellId>, Vec<usize>), NetlistError> {
+    Ok(order_groups(netlist, &output_reach(netlist)?, candidates))
+}
+
+fn order_groups(
+    netlist: &Netlist,
+    reach: &OutputReach,
+    candidates: &[CellId],
+) -> (Vec<CellId>, Vec<usize>) {
+    let set = |ff: CellId| reach.words(netlist.cell(ff).output());
+    // Stable sorts: a group keeps its flip-flops in candidate order, and
+    // groups of one size stay in output-set order.
+    let mut by_set = candidates.to_vec();
+    by_set.sort_by(|&a, &b| cmp_sets(set(a), set(b)));
+    let mut groups: Vec<&[CellId]> = by_set.chunk_by(|&a, &b| set(a) == set(b)).collect();
+    groups.sort_by_key(|g| Reverse(g.len()));
+    let lens = groups.iter().map(|g| g.len()).collect();
+    (groups.concat(), lens)
+}
+
+/// Orders two output bitsets as their ascending index lists compare, the
+/// order of `BTreeSet<usize>`: at the lowest index only one set holds,
+/// that set is the smaller if the other holds a larger index, and the
+/// larger if the other ends there.
+fn cmp_sets(a: &[u64], b: &[u64]) -> Ordering {
+    let Some(w) = (0..a.len()).find(|&w| a[w] != b[w]) else {
+        return Ordering::Equal;
+    };
+    let bit = (a[w] ^ b[w]).trailing_zeros();
+    let a_holds = a[w] >> bit & 1 == 1;
+    let other = if a_holds { b } else { a };
+    let other_goes_on = other[w] >> bit >> 1 != 0 || other[w + 1..].iter().any(|&x| x != 0);
+    if a_holds == other_goes_on {
+        Ordering::Less
+    } else {
+        Ordering::Greater
+    }
 }
 
 /// The Encrypt-FF selection: the largest same-output-cone group among the

@@ -364,11 +364,11 @@ impl GkEncryptor {
         let mut ordered: Vec<CellId> = if self.prefer_encrypt_ff_group {
             // Largest same-output-cone groups first (Encrypt-FF), shuffled
             // within each group.
-            let groups = crate::encrypt_ff::group_by_output_cone(netlist, &available)?;
-            let mut v = Vec::with_capacity(available.len());
-            for mut g in groups {
-                g.ffs.shuffle(rng);
-                v.extend(g.ffs);
+            let (mut v, lens) = crate::encrypt_ff::output_cone_order(netlist, &available)?;
+            let mut start = 0;
+            for len in lens {
+                v[start..start + len].shuffle(rng);
+                start += len;
             }
             v
         } else {

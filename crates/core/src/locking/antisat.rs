@@ -27,7 +27,7 @@ impl AntiSat {
 
 impl LockScheme for AntiSat {
     fn lock(&self, original: &Netlist, rng: &mut dyn RngCore) -> Result<Locked, CoreError> {
-        if original.input_nets().len() < self.n || original.output_ports().is_empty() {
+        if original.input_nets().len() < self.n || original.output_ports().len() == 0 {
             return Err(CoreError::NotEnoughSites {
                 requested: self.n,
                 available: original.input_nets().len(),
@@ -53,10 +53,11 @@ impl LockScheme for AntiSat {
         let g = netlist.add_gate(GateKind::And, &a_terms)?;
         let gbar = netlist.add_gate(GateKind::Nand, &b_terms)?;
         let y = netlist.add_gate(GateKind::And, &[g, gbar])?;
-        let (po_net, _) = netlist.output_ports()[0].clone();
+        let (po_net, _) = netlist.output_port(0);
         let flipped = netlist.add_gate(GateKind::Xor, &[po_net, y])?;
         netlist.rewire_output_po(po_net, flipped);
         netlist.validate()?;
+        netlist.shrink_to_fit();
         let mut correct_key = shared.clone();
         correct_key.extend(shared);
         crate::locking::record_lock("lock_antisat", key_inputs.len());

@@ -119,9 +119,7 @@ pub(crate) fn lockable_nets(netlist: &Netlist) -> Vec<NetId> {
                 })
                 .unwrap_or(false)
         })
-        .filter(|(id, n)| {
-            !n.fanout().is_empty() || netlist.output_ports().iter().any(|&(po, _)| po == *id)
-        })
+        .filter(|(id, n)| !n.fanout().is_empty() || netlist.output_ports().any(|(po, _)| po == *id))
         .map(|(id, _)| id)
         .collect()
 }
@@ -155,7 +153,7 @@ mod tests {
         let k = nl.add_input("k");
         let new = splice_on_net(&mut nl, w, GateKind::Xor, &[k]).unwrap();
         // Old readers now read the key-gate.
-        assert_eq!(nl.output_ports()[0].0, new);
+        assert_eq!(nl.output_port(0).0, new);
         let inv = nl.net(y1).driver().unwrap();
         assert_eq!(nl.cell(inv).inputs()[0], new);
         // The key-gate reads the original net.

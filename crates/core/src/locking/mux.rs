@@ -56,6 +56,7 @@ impl LockScheme for MuxLock {
             }
         }
         netlist.validate()?;
+        netlist.shrink_to_fit();
         crate::locking::record_lock("lock_mux", key_inputs.len());
         Ok(Locked {
             netlist,

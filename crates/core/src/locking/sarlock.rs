@@ -28,7 +28,7 @@ impl SarLock {
 
 impl LockScheme for SarLock {
     fn lock(&self, original: &Netlist, rng: &mut dyn RngCore) -> Result<Locked, CoreError> {
-        if original.input_nets().len() < self.n_bits || original.output_ports().is_empty() {
+        if original.input_nets().len() < self.n_bits || original.output_ports().len() == 0 {
             return Err(CoreError::NotEnoughSites {
                 requested: self.n_bits,
                 available: original.input_nets().len(),
@@ -56,10 +56,11 @@ impl LockScheme for SarLock {
         let flip = netlist.add_gate(GateKind::And, &[eq_key, not_const])?;
 
         // Flip the first primary output.
-        let (po_net, _) = netlist.output_ports()[0].clone();
+        let (po_net, _) = netlist.output_port(0);
         let flipped = netlist.add_gate(GateKind::Xor, &[po_net, flip])?;
         netlist.rewire_output_po(po_net, flipped);
         netlist.validate()?;
+        netlist.shrink_to_fit();
         crate::locking::record_lock("lock_sarlock", key_inputs.len());
         Ok(Locked {
             netlist,

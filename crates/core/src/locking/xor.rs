@@ -49,6 +49,7 @@ impl LockScheme for XorLock {
             correct_key.push(use_xnor);
         }
         netlist.validate()?;
+        netlist.shrink_to_fit();
         crate::locking::record_lock("lock_xor", key_inputs.len());
         Ok(Locked {
             netlist,

@@ -59,7 +59,8 @@ pub fn promote_to_inputs_dropping(
     // inputs all survive. `exists` marks the nets the copy has; `rank`
     // numbers the copy's gates in creation order.
     let mut exists = vec![false; netlist.net_count()];
-    let mut inputs: Vec<(NetId, &str)> = Vec::new();
+    let mut inputs: Vec<(NetId, &str)> =
+        Vec::with_capacity(netlist.input_nets().len() + promote.len());
     for &pi in netlist.input_nets() {
         if !drop_inputs.contains(&pi) {
             exists[pi.index()] = true;
@@ -82,7 +83,7 @@ pub fn promote_to_inputs_dropping(
         exists[netlist.cell(ff).output().index()] = true;
     }
     let mut rank = vec![NO_RANK; netlist.cell_count()];
-    let mut gates: Vec<CellId> = Vec::new();
+    let mut gates: Vec<CellId> = Vec::with_capacity(order.len());
     for &c in order {
         let cell = netlist.cell(c);
         if dropped[c.index()]
@@ -128,15 +129,19 @@ pub fn promote_to_inputs_dropping(
     }
 
     // Materialize the swept copy.
-    let mut out = Netlist::new(netlist.name());
+    let mut out = Netlist::with_capacity_of(netlist.name(), netlist);
     let mut map: Vec<Option<NetId>> = vec![None; netlist.net_count()];
     for &(net, name) in &inputs {
         map[net.index()] = Some(out.add_input(name));
     }
     let mut ff_map: Vec<(CellId, CellId)> = Vec::with_capacity(ffs.len());
+    let mut d_name = String::new();
     for &ff in &ffs {
         let cell = netlist.cell(ff);
-        let placeholder = out.add_net([cell.name(), "_d"].concat());
+        d_name.clear();
+        d_name.push_str(cell.name());
+        d_name.push_str("_d");
+        let placeholder = out.add_net(&d_name);
         let q = out
             .add_dff_named(placeholder, cell.name())
             .map_err(net_err)?;
@@ -166,7 +171,7 @@ pub fn promote_to_inputs_dropping(
         out.rewire_input(new_ff, 0, d).map_err(net_err)?;
     }
     for (net, name) in netlist.output_ports() {
-        out.mark_output(map[net.index()].expect("po is live"), name.clone());
+        out.mark_output(map[net.index()].expect("po is live"), name);
     }
     out.validate().map_err(net_err)?;
     Ok(out)
@@ -419,7 +424,7 @@ mod tests {
         for (net, name) in netlist.output_ports() {
             let n = map[net.index()]
                 .ok_or_else(|| CoreError::Netlist(format!("output {name} reads a dropped cone")))?;
-            out.mark_output(n, name.clone());
+            out.mark_output(n, name);
         }
         out.validate()
             .map_err(|e| CoreError::Netlist(e.to_string()))?;
@@ -455,7 +460,7 @@ mod tests {
             out,
             "{:?} {:?} {:?}",
             nl.input_nets(),
-            nl.output_ports(),
+            nl.output_ports().collect::<Vec<_>>(),
             nl.dff_cells()
         );
         out

@@ -95,9 +95,8 @@ impl AnalysisFacts {
     /// Primary outputs whose refined taint contains `bit`, in port order.
     pub fn observable_pos(&self, nl: &Netlist, bit: usize) -> Vec<NetId> {
         nl.output_ports()
-            .iter()
-            .filter(|&&(po, _)| self.refined.net(po).contains(bit))
-            .map(|&(po, _)| po)
+            .filter(|&(po, _)| self.refined.net(po).contains(bit))
+            .map(|(po, _)| po)
             .collect()
     }
 

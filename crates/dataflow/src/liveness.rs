@@ -24,10 +24,7 @@ impl Domain for LiveDomain {
     }
 
     fn boundary(&self, nl: &Netlist, net: NetId) -> Option<bool> {
-        nl.output_ports()
-            .iter()
-            .any(|&(po, _)| po == net)
-            .then_some(true)
+        nl.output_ports().any(|(po, _)| po == net).then_some(true)
     }
 
     fn transfer(

@@ -215,10 +215,7 @@ impl Domain for CoDomain<'_> {
     }
 
     fn boundary(&self, nl: &Netlist, net: NetId) -> Option<u32> {
-        nl.output_ports()
-            .iter()
-            .any(|&(po, _)| po == net)
-            .then_some(0)
+        nl.output_ports().any(|(po, _)| po == net).then_some(0)
     }
 
     fn transfer(

@@ -247,8 +247,7 @@ pub fn genes_from_netlist(netlist: &Netlist, lock: LockGene, seed: u64) -> Optio
         .collect();
     let po_taps: Option<Vec<usize>> = netlist
         .output_ports()
-        .iter()
-        .map(|(n, _)| pool_index.get(n).copied())
+        .map(|(n, _)| pool_index.get(&n).copied())
         .collect();
     Some(Recipe {
         seed,

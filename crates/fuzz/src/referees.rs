@@ -11,6 +11,7 @@ use crate::materialize::{LockOutcome, TestCase};
 use crate::reference::{Inject, RefMachine};
 use glitchlock_core::insertion::timed_trace;
 use glitchlock_core::{KeyVector, Locked};
+use glitchlock_count::Score;
 use glitchlock_lint::{Level, LintContext, LintRunner};
 use glitchlock_netlist::{
     bench_format, verilog, Aig, CombView, EvalProgram, Logic, NetId, Netlist, PackedLogic,
@@ -845,32 +846,49 @@ fn count_vs_exhaustive(ctx: &RefereeCtx<'_>) -> Verdict {
             scores.data_bits + scores.key_bits
         ));
     }
+    let mismatches = score_mismatches(
+        [
+            ("err", &scores.err),
+            ("dip", &scores.dip),
+            ("wrong-keys", &scores.wrong_keys),
+        ],
+        cfg.epsilon,
+    );
+    if mismatches.is_empty() {
+        Verdict::Pass
+    } else {
+        Verdict::Fail(mismatches.join("; "))
+    }
+}
+
+/// Every labelled score whose estimate disagrees with its exhaustive
+/// count, one message each, so a failure names all the scores that are
+/// wrong rather than the first.
+fn score_mismatches(scores: [(&str, &Score); 3], epsilon: f64) -> Vec<String> {
     let pivot = 26u64;
-    for (label, score) in [
-        ("err", &scores.err),
-        ("dip", &scores.dip),
-        ("wrong-keys", &scores.wrong_keys),
-    ] {
+    let mut out = Vec::new();
+    for (label, score) in scores {
         let (Some(exact), Some(estimate)) = (score.exact, score.estimate) else {
-            return Verdict::Fail(format!("{label}: both engines ran but a value is missing"));
+            out.push(format!("{label}: both engines ran but a value is missing"));
+            continue;
         };
         if exact <= pivot {
             if estimate != exact as f64 {
-                return Verdict::Fail(format!(
+                out.push(format!(
                     "{label}: exhaustive {exact} but estimator {estimate} (under the pivot both are exact)"
                 ));
             }
         } else {
-            let slack = 2.0 * (1.0 + cfg.epsilon);
+            let slack = 2.0 * (1.0 + epsilon);
             let exact = exact as f64;
             if estimate < exact / slack || estimate > exact * slack {
-                return Verdict::Fail(format!(
+                out.push(format!(
                     "{label}: exhaustive {exact} vs estimate {estimate} outside the {slack}x envelope"
                 ));
             }
         }
     }
-    Verdict::Pass
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1012,6 +1030,39 @@ mod tests {
 
     fn lib() -> Library {
         Library::cl013g_like().with_gk_delay_macros()
+    }
+
+    #[test]
+    fn count_mismatches_are_all_reported() {
+        let score = |exact, estimate| Score {
+            space_bits: 8,
+            exact: Some(exact),
+            estimate: Some(estimate),
+        };
+        let (err, dip, wrong) = (score(3, 3.0), score(2, 0.0), score(14, 16.0));
+        let found = score_mismatches([("err", &err), ("dip", &dip), ("wrong-keys", &wrong)], 0.8);
+        assert_eq!(
+            found,
+            [
+                "dip: exhaustive 2 but estimator 0 (under the pivot both are exact)",
+                "wrong-keys: exhaustive 14 but estimator 16 (under the pivot both are exact)",
+            ]
+        );
+        // Above the pivot an estimate inside the envelope passes and one
+        // outside it fails; a missing value is a mismatch of its own.
+        let (near, far) = (score(100, 150.0), score(100, 400.0));
+        let missing = Score {
+            space_bits: 8,
+            exact: Some(1),
+            estimate: None,
+        };
+        let found = score_mismatches(
+            [("err", &near), ("dip", &far), ("wrong-keys", &missing)],
+            0.8,
+        );
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found[0].starts_with("dip: exhaustive 100 vs estimate 400"));
+        assert!(found[1].starts_with("wrong-keys: both engines ran"));
     }
 
     fn judge_all(seed: u64, inject: Inject) -> Vec<(&'static str, Verdict)> {

@@ -110,7 +110,6 @@ impl RefMachine {
     pub fn outputs_of(&self, netlist: &Netlist, nets: &[Logic]) -> Vec<Logic> {
         netlist
             .output_ports()
-            .iter()
             .map(|(n, _)| nets[n.index()])
             .collect()
     }

@@ -71,6 +71,9 @@ pub struct FailureRecord {
     pub recipe: Recipe,
     /// The minimized recipe (still failing the same referee).
     pub shrunk: Recipe,
+    /// The referee's message on the minimized recipe: what the saved
+    /// reproducer shows, which may differ from `message`.
+    pub shrunk_message: String,
     /// Oracle calls the shrinker spent.
     pub shrink_spent: usize,
     /// Where the reproducer was persisted, when a corpus dir was given.
@@ -249,8 +252,12 @@ pub fn run_fuzz(config: &FuzzConfig, library: &Library) -> Result<FuzzReport, St
     Ok(report)
 }
 
+/// The failure message of a recipe the case builder panics on.
+const MATERIALIZE_PANICKED: &str = "materialize panicked";
+
 /// Shrinks a failing recipe against the referee that flagged it and
-/// persists the reproducer when a corpus directory is configured.
+/// persists the reproducer, with the shrunk recipe's own failure message,
+/// when a corpus directory is configured.
 fn shrink_and_record(
     config: &FuzzConfig,
     library: &Library,
@@ -261,26 +268,36 @@ fn shrink_and_record(
     referee_name: &str,
 ) -> Result<FailureRecord, String> {
     let inject = config.inject;
-    let mut still_fails = |candidate: &Recipe| -> bool {
+    let failure_of = |candidate: &Recipe| -> Option<String> {
         let Some(case) = try_materialize(candidate, library) else {
             // The builder crashed: for a materialize failure that IS the
             // bug; for a referee failure it is a different bug, so reject.
-            return referee_name == "materialize";
+            return (referee_name == "materialize").then(|| MATERIALIZE_PANICKED.to_string());
         };
         if referee_name == "materialize" {
-            return false;
+            return None;
         }
         let ctx = RefereeCtx {
             case: &case,
             library,
             inject,
         };
-        registry()
+        match registry()
             .iter()
             .find(|r| r.name == referee_name)
-            .is_some_and(|r| matches!(judge(r, &ctx), Verdict::Fail(_)))
+            .map(|r| judge(r, &ctx))
+        {
+            Some(Verdict::Fail(message)) => Some(message),
+            _ => None,
+        }
     };
+    let mut still_fails = |candidate: &Recipe| failure_of(candidate).is_some();
     let (shrunk, shrink_spent) = shrink(recipe, library, &mut still_fails, config.shrink_budget);
+    let message = message.unwrap_or_else(|| MATERIALIZE_PANICKED.to_string());
+    // The shrinker keeps only failing recipes, so the shrunk one fails
+    // too; its message is judged afresh, since it may name another score
+    // or another value than the original case's.
+    let shrunk_message = failure_of(&shrunk).unwrap_or_else(|| message.clone());
     let corpus_path = match &config.corpus_dir {
         Some(dir) => {
             let stem = format!("fuzz-{referee_name}-{seed:016x}");
@@ -292,7 +309,7 @@ fn shrink_and_record(
                 &stem,
                 &shrunk,
                 referee_name,
-                message.as_deref().unwrap_or("materialize panicked"),
+                &shrunk_message,
                 &bench_text,
             )
             .map_err(|e| format!("persisting reproducer: {e}"))?;
@@ -304,9 +321,10 @@ fn shrink_and_record(
         index,
         case_seed: seed,
         referee: referee_name.to_string(),
-        message: message.unwrap_or_else(|| "materialize panicked".to_string()),
+        message,
         recipe: recipe.clone(),
         shrunk,
+        shrunk_message,
         shrink_spent,
         corpus_path,
     })
@@ -387,6 +405,32 @@ mod tests {
             .map(|r| r.run(&ctx))
             .expect("referee exists");
         assert!(matches!(verdict, Verdict::Fail(_)));
+        // The saved `# message:` lines are the referee's verdict on the
+        // saved recipe, not on the case before shrinking.
+        let saved = crate::corpus::load_corpus(&dir).expect("load");
+        assert_eq!(saved.len(), 1);
+        let text = std::fs::read_to_string(path).expect("read");
+        let message: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# message: "))
+            .collect();
+        let case = materialize(&saved[0].recipe, &library);
+        let ctx = RefereeCtx {
+            case: &case,
+            library: &library,
+            inject: Inject::XnorFlip,
+        };
+        let Verdict::Fail(rejudged) = judge(
+            registry()
+                .iter()
+                .find(|r| r.name == "scalar-vs-packed")
+                .expect("referee exists"),
+            &ctx,
+        ) else {
+            panic!("the saved recipe passes");
+        };
+        assert_eq!(message.join("\n"), rejudged);
+        assert_eq!(failure.shrunk_message, rejudged);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -415,7 +415,7 @@ fn feeds_timing_structure(nl: &Netlist, library: &Library, key: NetId) -> bool {
 
 fn check_key_bits(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     let nl = ctx.netlist;
-    let po_nets: HashSet<NetId> = nl.output_ports().iter().map(|(n, _)| *n).collect();
+    let po_nets: HashSet<NetId> = nl.output_ports().map(|(n, _)| n).collect();
     for &key in nl.input_nets().iter() {
         let name = nl.net(key).name().to_string();
         if !name.starts_with(&ctx.key_prefix) {

@@ -40,11 +40,7 @@ impl LintPass for StructuralPass {
 }
 
 fn check_drivers(nl: &Netlist, out: &mut Vec<Diagnostic>) {
-    let po_names: HashMap<NetId, &str> = nl
-        .output_ports()
-        .iter()
-        .map(|(net, name)| (*net, name.as_str()))
-        .collect();
+    let po_names: HashMap<NetId, &str> = nl.output_ports().collect();
     for (id, net) in nl.nets() {
         if net.driver().is_some() {
             continue;
@@ -266,7 +262,7 @@ fn check_dead_cones(nl: &Netlist, out: &mut Vec<Diagnostic>) {
     // from primary-output drivers computed, so findings are byte-for-byte
     // identical.
     let needed = glitchlock_dataflow::live_facts(nl);
-    let po_nets: HashSet<NetId> = nl.output_ports().iter().map(|(n, _)| *n).collect();
+    let po_nets: HashSet<NetId> = nl.output_ports().map(|(n, _)| n).collect();
     for (_id, cell) in nl.cells() {
         if *needed.net(cell.output()) || cell.kind() == GateKind::Input {
             continue;
@@ -324,7 +320,7 @@ fn check_constant_cones(nl: &Netlist, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let value = u8::from(lit.is_complemented());
-        let port = &nl.output_ports()[j].1;
+        let port = nl.output_port(j).1;
         out.push(
             Diagnostic::new(
                 DEAD_CONE,

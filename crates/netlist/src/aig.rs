@@ -602,7 +602,7 @@ pub fn extract_cone_netlist(
             // True POs carry a port name; pseudo-POs (flip-flop D pins)
             // fall back to the net name.
             if j < view.num_primary_outputs() {
-                netlist.output_ports()[j].1.clone()
+                netlist.output_port(j).1.to_string()
             } else {
                 netlist.net(view.output_nets()[j]).name().to_string()
             }
@@ -783,7 +783,7 @@ mod tests {
         let view = CombView::new(&nl);
         let (cone_nl, support) = extract_cone_netlist(&nl, &view, &[1]);
         assert_eq!(cone_nl.output_ports().len(), 1);
-        assert_eq!(cone_nl.output_ports()[0].1, "y1");
+        assert_eq!(cone_nl.output_port(0).1, "y1");
         for (k, &i) in support.iter().enumerate() {
             assert_eq!(
                 cone_nl.net(cone_nl.input_nets()[k]).name(),

@@ -13,6 +13,7 @@
 //! Supported gate names: `AND OR NAND NOR XOR XNOR NOT BUF BUFF DFF MUX`
 //! (`MUX(sel, in0, in1)` as in some extended suites) and `CONST0`/`CONST1`.
 
+use crate::netlist::{Sizes, Span};
 use crate::{GateKind, LibCellId, NetId, Netlist, NetlistError};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -68,7 +69,7 @@ pub fn parse_with_bindings(
     for (i, &(_, sym)) in st.inputs.iter().enumerate() {
         net_of[sym] = Some(NetId::from_index(i));
     }
-    let mut placeholders: Vec<Sym> = Vec::new();
+    let mut placeholders: Vec<Sym> = Vec::with_capacity(st.names.len().saturating_sub(n_in));
     let targets = st.gates.iter().map(|g| g.target);
     for sym in targets.chain(st.args.iter().copied()) {
         if net_of[sym].is_none() {
@@ -77,37 +78,62 @@ pub fn parse_with_bindings(
         }
     }
     let first_gate_net = n_in + placeholders.len();
+    // The cell-name suffix of each signal's last definition: the arena
+    // stores `G10_g` once, and the signal's name is its prefix `G10`.
+    let mut suffix_of: Vec<&str> = vec![""; st.names.len()];
+    let mut dffs = 0;
     for (i, g) in st.gates.iter().enumerate() {
         net_of[g.target] = Some(NetId::from_index(first_gate_net + i));
+        suffix_of[g.target] = cell_suffix(g.func);
+        dffs += usize::from(cell_suffix(g.func) == "_ff");
     }
     // Every symbol is an input, a target or an argument, so has a net.
     let net = |sym: Sym| net_of[sym].expect("every symbol has a net");
 
-    let mut nl =
-        Netlist::with_capacity(name, n_in + st.gates.len(), first_gate_net + st.gates.len());
+    let name_bytes = st.names.iter().zip(&suffix_of);
+    let mut nl = Netlist::with_capacity(
+        name,
+        Sizes {
+            cells: n_in + st.gates.len(),
+            nets: first_gate_net + st.gates.len(),
+            pins: st.args.len(),
+            names: name_bytes.map(|(n, s)| n.len() + s.len()).sum(),
+            inputs: n_in,
+            outputs: st.outputs.len(),
+            dffs,
+        },
+    );
+    let full: Vec<Span> = st
+        .names
+        .iter()
+        .zip(&suffix_of)
+        .map(|(name, suffix)| nl.push_name(&[name, suffix]))
+        .collect();
+    let span = |sym: Sym| full[sym].prefix(st.names[sym].len());
     for &(_, sym) in &st.inputs {
-        nl.add_input(st.names[sym]);
+        nl.add_input_spanned(span(sym));
     }
     for &sym in &placeholders {
-        nl.add_net(st.names[sym]);
+        nl.add_net_spanned(span(sym));
     }
     for (i, g) in st.gates.iter().enumerate() {
         let id = NetId::from_index(first_gate_net + i);
-        let target = st.names[g.target];
         if net(g.target) == id {
-            nl.add_net(target);
+            nl.add_net_spanned(span(g.target));
         } else {
             // A target defined again later: its earlier net keeps the name
             // the builder generates for an unnamed gate output.
-            let stem = if g.func.eq_ignore_ascii_case("DFF") {
+            let stem = if cell_suffix(g.func) == "_ff" {
                 "_ff_q_"
             } else {
                 "_g_"
             };
-            nl.add_net(crate::netlist::numbered(&[target, stem], id.index()));
+            let generated = nl.push_numbered(&[st.names[g.target], stem], id.index());
+            nl.add_net_spanned(generated);
         }
     }
 
+    let mut ins: Vec<NetId> = Vec::new();
     for (i, g) in st.gates.iter().enumerate() {
         let parse_err = |msg: String| NetlistError::Parse { line: g.line, msg };
         let kind = gate_kind(g.func).ok_or_else(|| {
@@ -116,7 +142,8 @@ pub fn parse_with_bindings(
                 g.func.to_ascii_uppercase()
             ))
         })?;
-        let mut ins: Vec<NetId> = st.args[g.args.clone()].iter().map(|&a| net(a)).collect();
+        ins.clear();
+        ins.extend(st.args[g.args.clone()].iter().map(|&a| net(a)));
         let kind = match kind {
             GateKind::Dff if ins.len() != 1 => {
                 return Err(parse_err(format!("DFF takes 1 input, got {}", ins.len())))
@@ -139,21 +166,23 @@ pub fn parse_with_bindings(
             })?),
             None => None,
         };
-        let suffix = if kind == GateKind::Dff { "_ff" } else { "_g" };
-        let cell_name = [st.names[g.target], suffix].concat();
-        let cell = nl.push_driver(kind, ins, NetId::from_index(first_gate_net + i), cell_name);
-        if let Some(lib) = lib {
-            nl.bind_lib(cell, lib)
-                .map_err(|e| parse_err(e.to_string()))?;
-        }
+        let suffix = cell_suffix(g.func);
+        let cell_name = if suffix == suffix_of[g.target] {
+            full[g.target]
+        } else {
+            nl.push_name(&[st.names[g.target], suffix])
+        };
+        let output = NetId::from_index(first_gate_net + i);
+        nl.push_driver(kind, &ins, output, cell_name, lib);
     }
+    nl.index_fanout();
 
     for &(line, output) in &st.outputs {
         let sym = st.symbols.get(output).ok_or_else(|| NetlistError::Parse {
             line,
             msg: format!("output {output:?} is never defined"),
         })?;
-        nl.mark_output(net(*sym), output);
+        nl.mark_output_spanned(net(*sym), span(*sym));
     }
     nl.validate()?;
     Ok(nl)
@@ -299,6 +328,16 @@ fn gate_kind(func: &str) -> Option<GateKind> {
         .map(|&(_, kind)| kind)
 }
 
+/// The suffix a gate's cell name adds to its target's name: `G5_ff` for
+/// a flip-flop, `G10_g` for anything else.
+fn cell_suffix(func: &str) -> &'static str {
+    if func.eq_ignore_ascii_case("DFF") {
+        "_ff"
+    } else {
+        "_g"
+    }
+}
+
 /// Single-input AND/OR act as buffers in some benchmark dumps.
 fn normalize_arity(kind: GateKind, n: usize) -> Result<GateKind, String> {
     if kind.accepts_arity(n) {
@@ -347,10 +386,10 @@ pub fn emit_with_bindings(
     let mut alias_lines: Vec<String> = Vec::new();
     let mut used_aliases: Vec<&str> = Vec::new();
     for (net, name) in netlist.output_ports() {
-        let src = netlist.net(*net).name();
+        let src = netlist.net(net).name();
         let collides = name.is_empty()
-            || used_aliases.contains(&name.as_str())
-            || netlist.net_by_name(name).is_some_and(|id| id != *net);
+            || used_aliases.contains(&name)
+            || netlist.net_by_name(name).is_some_and(|id| id != net);
         if name == src || collides {
             let _ = writeln!(out, "OUTPUT({src})");
         } else {
@@ -817,7 +856,7 @@ y = MUX(s, a, b)
                 line: *line,
                 msg: format!("output {name:?} is never defined"),
             })?;
-            nl.mark_output(*net, name.clone());
+            nl.mark_output(*net, name);
         }
         nl.validate()?;
         Ok(nl)
@@ -850,7 +889,7 @@ y = MUX(s, a, b)
             out,
             "{:?} {:?} {:?}",
             nl.input_nets(),
-            nl.output_ports(),
+            nl.output_ports().collect::<Vec<_>>(),
             nl.dff_cells()
         );
         out

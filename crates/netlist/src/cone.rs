@@ -106,7 +106,7 @@ pub fn output_reach(netlist: &Netlist) -> Result<OutputReach, NetlistError> {
     let order = netlist.topo_order_cached()?;
     let words = netlist.output_ports().len().div_ceil(64);
     let mut bits = vec![0u64; netlist.net_count() * words];
-    for (i, &(net, _)) in netlist.output_ports().iter().enumerate() {
+    for (i, (net, _)) in netlist.output_ports().enumerate() {
         bits[net.index() * words + i / 64] |= 1 << (i % 64);
     }
     let mut absorb_sinks = |net: NetId| {
@@ -190,7 +190,6 @@ mod tests {
             .chain([net])
             .collect();
         nl.output_ports()
-            .iter()
             .enumerate()
             .filter(|(_, (n, _))| cone_nets.contains(n))
             .map(|(i, _)| i)

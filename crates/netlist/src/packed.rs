@@ -304,8 +304,7 @@ impl EvalProgram {
             dff_d_slots,
             output_slots: netlist
                 .output_ports()
-                .iter()
-                .map(|&(n, _)| n.index() as u32)
+                .map(|(n, _)| n.index() as u32)
                 .collect(),
         })
     }

@@ -28,23 +28,23 @@ pub fn emit(netlist: &Netlist) -> String {
         .map(|&n| netlist.net(n).name().to_string())
         .collect();
     let mut po_decls = Vec::new();
-    for (i, (net, name)) in netlist.output_ports().iter().enumerate() {
+    for (i, (net, name)) in netlist.output_ports().enumerate() {
         // Primary outputs get dedicated port wires driven by buf if the
         // internal net name differs from the port name. A port name that
         // already names a *different* net would make the alias buf a second
         // driver, so such ports fall back to the internal net name.
-        let src = netlist.net(*net).name();
-        let collides = netlist.net_by_name(name).is_some_and(|id| id != *net)
+        let src = netlist.net(net).name();
+        let collides = netlist.net_by_name(name).is_some_and(|id| id != net)
             || po_decls.iter().any(|(p, _)| p == name);
         let port = if name.is_empty() {
             format!("po{i}")
         } else if collides {
             src.to_string()
         } else {
-            name.clone()
+            name.to_string()
         };
         ports.push(port.clone());
-        po_decls.push((port, *net));
+        po_decls.push((port, net));
     }
     let _ = writeln!(
         out,
@@ -227,7 +227,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
         if let Some(&id) = nets.get(n) {
             return id;
         }
-        let id = nl.add_net(n.to_string());
+        let id = nl.add_net(n);
         nets.insert(n.to_string(), id);
         id
     };

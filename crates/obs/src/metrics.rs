@@ -148,16 +148,22 @@ pub struct Registry {
 }
 
 impl Registry {
+    /// The metric registered under `name`, registering `make()` there on
+    /// first use. A name already registered costs no allocation.
+    fn metric(&self, name: &str, make: fn() -> Metric) -> Metric {
+        let mut map = self.inner.lock().expect("registry poisoned");
+        if let Some(m) = map.get(name) {
+            return m.clone();
+        }
+        map.entry(name.to_string()).or_insert_with(make).clone()
+    }
+
     /// The counter registered under `name`, creating it on first use. If
     /// the name is already taken by a different metric kind, a detached
     /// (unregistered) handle is returned so callers never panic mid-run.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.lock().expect("registry poisoned");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
-            Metric::Counter(c) => c.clone(),
+        match self.metric(name, || Metric::Counter(Counter::default())) {
+            Metric::Counter(c) => c,
             _ => Counter::default(),
         }
     }
@@ -165,12 +171,8 @@ impl Registry {
     /// The gauge registered under `name` (see [`Registry::counter`] for
     /// the kind-collision rule).
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.lock().expect("registry poisoned");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
+        match self.metric(name, || Metric::Gauge(Gauge::default())) {
+            Metric::Gauge(g) => g,
             _ => Gauge::default(),
         }
     }
@@ -178,12 +180,8 @@ impl Registry {
     /// The histogram registered under `name` (see [`Registry::counter`]
     /// for the kind-collision rule).
     pub fn hist(&self, name: &str) -> Histogram {
-        let mut map = self.inner.lock().expect("registry poisoned");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Hist(Histogram::default()))
-        {
-            Metric::Hist(h) => h.clone(),
+        match self.metric(name, || Metric::Hist(Histogram::default())) {
+            Metric::Hist(h) => h,
             _ => Histogram::default(),
         }
     }

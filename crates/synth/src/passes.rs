@@ -123,7 +123,7 @@ fn optimize_impl(netlist: &Netlist, keep_all_ffs: bool) -> Result<Netlist, Synth
     for (net, name) in netlist.output_ports() {
         let r = repr[net.index()].expect("po cone is live");
         let n = materialize(r, &mut out, &mut const_nets);
-        out.mark_output(n, name.clone());
+        out.mark_output(n, name);
     }
     out.validate()?;
     // Folding emits gates eagerly, so a gate whose output was later folded
@@ -202,7 +202,7 @@ fn sweep_impl(netlist: &Netlist, keep_all_ffs: bool) -> Result<Netlist, SynthErr
     }
     for (net, name) in netlist.output_ports() {
         let n = map[net.index()].expect("po is live");
-        out.mark_output(n, name.clone());
+        out.mark_output(n, name);
     }
     Ok(out)
 }

@@ -688,7 +688,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     for (net, name) in nl.output_ports() {
         println!(
             "  {name:>10} |{}|",
-            res.waveform(*net).ascii(horizon, Ps(period.as_ps() / 8))
+            res.waveform(net).ascii(horizon, Ps(period.as_ps() / 8))
         );
     }
     if let Some(path) = args.flag("vcd") {
@@ -1172,6 +1172,7 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         for line in f.shrunk.to_text().lines() {
             println!("    {line}");
         }
+        println!("  shrunk case: {}", f.shrunk_message);
     }
     Err(format!("{} referee failure(s)", report.failures.len()))
 }

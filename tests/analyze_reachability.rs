@@ -119,16 +119,15 @@ fn xor_s298_po_observability_agrees_with_brute_force() {
         let differs = empirical_flip_cone(nl, key, 16, &mut rng);
         let flipped_pos: Vec<&str> = nl
             .output_ports()
-            .iter()
             .filter(|(po, _)| differs[po.index()])
-            .map(|(_, name)| name.as_str())
+            .map(|(_, name)| name)
             .collect();
         let observable = facts.observable_pos(nl, bit);
         // Soundness: an empirically flipped PO must be reported.
         for (po, name) in nl.output_ports() {
             if differs[po.index()] {
                 assert!(
-                    observable.contains(po),
+                    observable.contains(&po),
                     "bit {bit} flips PO {name:?} but is not reported observable there"
                 );
             }

@@ -70,7 +70,7 @@ pub fn inject_gate_swap(netlist: &Netlist, rng: &mut StdRng) -> Netlist {
         out.rewire_input(new_ff, 0, d).unwrap();
     }
     for (po, name) in netlist.output_ports() {
-        out.mark_output(map[po.index()].unwrap(), name.clone());
+        out.mark_output(map[po.index()].unwrap(), name);
     }
     out
 }

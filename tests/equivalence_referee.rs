@@ -81,7 +81,7 @@ fn sarlock_bypass_is_exactly_equivalent() {
     for &pi in tied.input_nets() {
         let name = tied.net(pi).name();
         if oracle.net_by_name(name).is_none() {
-            oracle.add_input(name.to_string());
+            oracle.add_input(name);
         }
     }
     assert_eq!(
@@ -125,7 +125,7 @@ fn tdk_strip_preserves_function_exactly() {
     for &pi in tied.input_nets() {
         let name = tied.net(pi).name();
         if oracle.net_by_name(name).is_none() {
-            oracle.add_input(name.to_string());
+            oracle.add_input(name);
         }
     }
     assert_eq!(

@@ -329,7 +329,6 @@ fn referee_outputs(nl: &Netlist, net: NetId) -> BTreeSet<usize> {
         .chain([net])
         .collect();
     nl.output_ports()
-        .iter()
         .enumerate()
         .filter(|(_, (n, _))| cone_nets.contains(n))
         .map(|(i, _)| i)

@@ -94,11 +94,7 @@ fn awkward_identifiers_survive() {
                 "identifier {name} lost in round trip"
             );
         }
-        let ports: Vec<&str> = back
-            .output_ports()
-            .iter()
-            .map(|(_, n)| n.as_str())
-            .collect();
+        let ports: Vec<&str> = back.output_ports().map(|(_, n)| n).collect();
         assert!(ports.contains(&"po_0"), "output port name lost: {ports:?}");
         step_equal(&nl, &back, 5, 8);
     }
