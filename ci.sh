@@ -115,6 +115,7 @@ locker sarlock 3
 locker gk 1
 attack sat
 attack removal
+attack enhanced
 seeds 1 2
 max-iters 64
 samples 256

@@ -11,9 +11,8 @@
 use crate::removal::{locate_gk_candidates, GkSite};
 use crate::sat_attack::{SatAttack, SatAttackResult};
 use glitchlock_core::withholding::{Lut, OpaqueRegion};
-use glitchlock_netlist::{CellId, GateKind, NetId, Netlist};
+use glitchlock_netlist::{GateKind, NetId, Netlist};
 use glitchlock_obs::{self as obs, names};
-use std::collections::HashSet;
 
 /// Result of the enhanced removal attack.
 #[derive(Debug)]
@@ -45,78 +44,37 @@ pub enum EnhancedOutcome {
 /// Replaces each located GK by `y = XOR(x, k̂)` with a fresh key input and
 /// returns the rebuilt netlist, the fresh key inputs, and the old
 /// (now-dangling) GK key inputs.
+///
+/// The fresh keys are named `model_key{i}`, numbered in topological order
+/// of the GKs' MUXes. Each MUX's readers move onto its XOR; the sweep then
+/// drops the MUX, its branch gates and their delay chains.
 pub fn replace_gks_with_xor(
     netlist: &Netlist,
     sites: &[GkSite],
 ) -> (Netlist, Vec<NetId>, Vec<NetId>) {
-    // Cells to skip: each site's MUX and its two branch gates (the delay
-    // chains feeding them become dead and are swept).
-    let mut skip: HashSet<CellId> = HashSet::new();
-    for site in sites {
-        skip.insert(site.mux);
-        for &branch in &netlist.cell(site.mux).inputs()[..2] {
-            if let Some(d) = netlist.net(branch).driver() {
-                skip.insert(d);
-            }
-        }
-    }
-
-    let mut out = Netlist::new(netlist.name());
-    let mut map: Vec<Option<NetId>> = vec![None; netlist.net_count()];
-    for &pi in netlist.input_nets() {
-        map[pi.index()] = Some(out.add_input(netlist.net(pi).name()));
-    }
-    let mut model_keys = Vec::with_capacity(sites.len());
-    let mut ff_map = Vec::new();
-    for &ff in netlist.dff_cells() {
-        let cell = netlist.cell(ff);
-        let placeholder = out.add_net(format!("{}_d", cell.name()));
-        let q = out
-            .add_dff_named(placeholder, cell.name())
-            .expect("placeholder valid");
-        map[cell.output().index()] = Some(q);
-        ff_map.push((ff, out.net(q).driver().expect("dff drives q")));
-    }
-    for cell_id in netlist.topo_order().expect("acyclic") {
-        let cell = netlist.cell(cell_id);
-        if map[cell.output().index()].is_some() {
-            continue;
-        }
-        // A replaced MUX becomes XOR(x, fresh key).
-        if let Some(site) = sites.iter().find(|s| s.mux == cell_id) {
-            let x = map[site.x.index()].expect("x precedes the GK in topo order");
-            let k = out.add_input(format!("model_key{}", model_keys.len()));
-            let y = out.add_gate(GateKind::Xor, &[x, k]).expect("xor arity");
-            map[cell.output().index()] = Some(y);
-            model_keys.push(k);
-            continue;
-        }
-        if skip.contains(&cell_id) {
-            continue;
-        }
-        let Some(ins) = cell
-            .inputs()
-            .iter()
-            .map(|n| map[n.index()])
-            .collect::<Option<Vec<NetId>>>()
-        else {
-            continue; // inside a skipped cone
-        };
-        let y = out
-            .add_gate_named(cell.kind(), &ins, cell.name())
-            .expect("copied gate valid");
-        map[cell.output().index()] = Some(y);
-    }
-    for (old_ff, new_ff) in ff_map {
-        let d = map[netlist.cell(old_ff).inputs()[0].index()].expect("live d");
-        out.rewire_input(new_ff, 0, d).expect("pin 0");
-    }
-    for (po, name) in netlist.output_ports() {
-        out.mark_output(map[po.index()].expect("live po"), name);
+    let mut out = netlist.clone();
+    let models: Vec<(NetId, NetId)> = netlist
+        .topo_order()
+        .expect("acyclic")
+        .into_iter()
+        .filter_map(|cell| sites.iter().find(|s| s.mux == cell))
+        .enumerate()
+        .map(|(i, site)| {
+            let k = out.add_input(format!("model_key{i}"));
+            let y = out
+                .add_gate(GateKind::Xor, &[site.x, k])
+                .expect("xor arity");
+            (site.y, y)
+        })
+        .collect();
+    // Every XOR exists before any MUX loses its readers: when one GK's
+    // `x` is another's `y`, its XOR moves onto the upstream model too.
+    for &(mux_y, model_y) in &models {
+        out.replace_uses(mux_y, model_y).expect("nets exist");
     }
     let swept = glitchlock_synth::sweep_sequential(&out).expect("valid sweep");
     // Re-find nets by name after sweeping.
-    let model_keys: Vec<NetId> = (0..model_keys.len())
+    let model_keys: Vec<NetId> = (0..models.len())
         .map(|i| {
             swept
                 .net_by_name(&format!("model_key{i}"))

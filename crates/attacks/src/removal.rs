@@ -42,16 +42,6 @@ impl SkewReport {
     pub fn samples(&self) -> usize {
         self.samples
     }
-
-    /// Nets with `P(1) <= threshold` or `P(1) >= 1 - threshold`.
-    pub fn skewed_nets(&self, threshold: f64) -> Vec<NetId> {
-        self.probs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p <= threshold || p >= 1.0 - threshold)
-            .map(|(i, _)| NetId::from_index(i))
-            .collect()
-    }
 }
 
 /// Estimates per-net signal probabilities over `samples` random patterns,
@@ -178,60 +168,21 @@ pub fn locate_point_function_tainted<R: Rng>(
     found
 }
 
-/// Bypasses a located security signal: rebuilds the netlist with `net`
-/// replaced by the constant `value` everywhere it is read, then sweeps the
-/// dead security logic.
+/// Bypasses a located security signal: every reader of `net`, primary
+/// outputs included, reads the constant `value` instead, and the sweep
+/// drops the logic left dead, `net`'s driver among it.
+///
+/// Every flip-flop survives, even one whose Q is `net`: the sweep keeps
+/// state. The locators do not hand over a Q: [`signal_skew`] draws each
+/// Q uniformly at random, so a Q looks skewed only by sampling chance.
 ///
 /// # Panics
 ///
 /// Panics if the netlist is invalid.
 pub fn bypass_net(netlist: &Netlist, net: NetId, value: bool) -> Netlist {
-    let mut out = Netlist::new(netlist.name());
-    let mut map: Vec<Option<NetId>> = vec![None; netlist.net_count()];
-    for &pi in netlist.input_nets() {
-        map[pi.index()] = Some(out.add_input(netlist.net(pi).name()));
-    }
+    let mut out = netlist.clone();
     let tied = out.add_const(value);
-    map[net.index()] = Some(tied);
-    let mut ff_map = Vec::new();
-    for &ff in netlist.dff_cells() {
-        let cell = netlist.cell(ff);
-        if map[cell.output().index()].is_some() {
-            continue;
-        }
-        let placeholder = out.add_net(format!("{}_d", cell.name()));
-        let q = out
-            .add_dff_named(placeholder, cell.name())
-            .expect("placeholder is valid");
-        map[cell.output().index()] = Some(q);
-        ff_map.push((ff, out.net(q).driver().expect("dff drives q")));
-    }
-    for cell_id in netlist.topo_order().expect("acyclic") {
-        let cell = netlist.cell(cell_id);
-        if map[cell.output().index()].is_some() {
-            continue;
-        }
-        let ins: Vec<NetId> = cell
-            .inputs()
-            .iter()
-            .map(|n| map[n.index()].expect("topo order"))
-            .collect();
-        let y = out
-            .add_gate_named(cell.kind(), &ins, cell.name())
-            .expect("copied gate is valid");
-        if let Some(lib) = cell.lib() {
-            let c = out.net(y).driver().expect("gate drives net");
-            out.bind_lib(c, lib).expect("cell exists");
-        }
-        map[cell.output().index()] = Some(y);
-    }
-    for (old_ff, new_ff) in ff_map {
-        let d = map[netlist.cell(old_ff).inputs()[0].index()].expect("live");
-        out.rewire_input(new_ff, 0, d).expect("pin 0 exists");
-    }
-    for (po, name) in netlist.output_ports() {
-        out.mark_output(map[po.index()].expect("live"), name);
-    }
+    out.replace_uses(net, tied).expect("nets exist");
     glitchlock_synth::sweep_sequential(&out).expect("swept netlist is valid")
 }
 
@@ -405,14 +356,9 @@ pub fn strip_tdk_delay_buffers(tdk: &TdkLocked) -> (Netlist, Vec<NetId>, Vec<Net
         // Re-route the TDB mux's readers straight to its in0 branch data
         // source: both branches carry the same value, in0 is as good as
         // either. The attacker needs no key knowledge for this.
-        let mux_cell = info.tdb_mux;
-        let branch = out.cell(mux_cell).inputs()[0];
-        let readers: Vec<(CellId, usize)> = out.net(out.cell(mux_cell).output()).fanout().to_vec();
-        for (cell, pin) in readers {
-            out.rewire_input(cell, pin, branch).expect("valid pin");
-        }
-        let y = out.cell(mux_cell).output();
-        out.rewire_output_po(y, branch);
+        let mux = out.cell(info.tdb_mux);
+        let (y, branch) = (mux.output(), mux.inputs()[0]);
+        out.replace_uses(y, branch).expect("nets exist");
     }
     obs::add(names::REMOVAL_TDK_STRIPPED, tdk.tdks.len() as u64);
     // Re-synthesize: dead muxes and slow chains disappear; the delay-key
@@ -499,6 +445,29 @@ mod tests {
             rate == 1.0
         });
         assert!(restored, "bypassing the flip net must restore the function");
+    }
+
+    #[test]
+    fn bypassing_a_primary_output_ties_the_port() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let w = nl.add_gate(GateKind::And, &[a, b]).unwrap();
+        let y = nl.add_gate(GateKind::Inv, &[w]).unwrap();
+        nl.mark_output(w, "w");
+        nl.mark_output(y, "y");
+        let fixed = bypass_net(&nl, w, true);
+        let (port, name) = fixed.output_port(0);
+        assert_eq!(name, "w");
+        let driver = fixed.net(port).driver().expect("the port is driven");
+        assert_eq!(fixed.cell(driver).kind(), GateKind::Const1);
+        assert!(
+            fixed.cells().all(|(_, c)| c.kind() != GateKind::And),
+            "the bypassed driver is swept"
+        );
+        for pattern in [[Logic::Zero, Logic::Zero], [Logic::One, Logic::One]] {
+            assert_eq!(fixed.eval_comb(&pattern), vec![Logic::One, Logic::Zero]);
+        }
     }
 
     #[test]

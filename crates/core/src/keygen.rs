@@ -70,17 +70,6 @@ pub struct KeygenInstance {
     pub trigger_b: Ps,
 }
 
-impl KeygenInstance {
-    /// Trigger time of a selection, if it is transitional.
-    pub fn trigger_of(&self, sel: KeygenSelect) -> Option<Ps> {
-        match sel {
-            KeygenSelect::DelayA => Some(self.trigger_a),
-            KeygenSelect::DelayB => Some(self.trigger_b),
-            _ => None,
-        }
-    }
-}
-
 /// Builds a KEYGEN whose `DelayA`/`DelayB` selections trigger the GK at
 /// `trigger_a`/`trigger_b` (times within the clock cycle, measured from the
 /// launching edge).

@@ -94,14 +94,10 @@ pub(crate) fn splice_on_net(
     kind: glitchlock_netlist::GateKind,
     extra_inputs: &[NetId],
 ) -> Result<NetId, CoreError> {
-    let old_fanout: Vec<_> = netlist.net(net).fanout().to_vec();
     let mut ins = vec![net];
     ins.extend_from_slice(extra_inputs);
     let y = netlist.add_gate(kind, &ins)?;
-    for (cell, pin) in old_fanout {
-        netlist.rewire_input(cell, pin, y)?;
-    }
-    netlist.rewire_output_po(net, y);
+    netlist.replace_uses(net, y)?;
     Ok(y)
 }
 

@@ -85,17 +85,14 @@ impl MuxLock {
             let key = netlist.add_input(format!("key{index}"));
             // Correct bit random: bit=0 means the true signal is on in0.
             let bit: bool = rng.gen();
-            let y = if bit {
-                // sel=1 selects in1 = true signal.
-                let y = netlist.add_gate(GateKind::Mux2, &[decoy, site, key])?;
-                self.rewire(netlist, site, y)?;
-                y
+            // sel=1 selects in1: the true signal sits there when bit=1.
+            let ins = if bit {
+                [decoy, site, key]
             } else {
-                let y = netlist.add_gate(GateKind::Mux2, &[site, decoy, key])?;
-                self.rewire(netlist, site, y)?;
-                y
+                [site, decoy, key]
             };
-            let _ = y;
+            let y = netlist.add_gate(GateKind::Mux2, &ins)?;
+            netlist.replace_uses(site, y)?;
             if netlist.topo_order().is_ok() {
                 return Ok(Some((key, bit)));
             }
@@ -103,23 +100,6 @@ impl MuxLock {
             *netlist = snapshot;
         }
         Ok(None)
-    }
-
-    fn rewire(&self, netlist: &mut Netlist, site: NetId, y: NetId) -> Result<(), CoreError> {
-        // Move the *original* readers of `site` (snapshot excludes the mux
-        // itself, which was appended last and reads `site`).
-        let readers: Vec<_> = netlist
-            .net(site)
-            .fanout()
-            .iter()
-            .copied()
-            .filter(|&(c, _)| c != netlist.net(y).driver().expect("mux drives y"))
-            .collect();
-        for (cell, pin) in readers {
-            netlist.rewire_input(cell, pin, y)?;
-        }
-        netlist.rewire_output_po(site, y);
-        Ok(())
     }
 }
 

@@ -124,11 +124,6 @@ impl ValueNumbering {
     pub fn repr(&self, class: Class) -> NetId {
         self.repr[class as usize]
     }
-
-    /// Number of distinct classes.
-    pub fn num_classes(&self) -> usize {
-        self.defs.len()
-    }
 }
 
 /// If the Mux2 `(in0, in1, sel)` is a glitch-key-gate identity —

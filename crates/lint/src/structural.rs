@@ -430,10 +430,7 @@ mod tests {
         let y = nl.add_gate(GateKind::And, &[a, placeholder]).unwrap();
         let w = nl.add_gate(GateKind::Or, &[y, b]).unwrap();
         // Close the loop.
-        let readers: Vec<_> = nl.net(placeholder).fanout().to_vec();
-        for (cell, pin) in readers {
-            nl.rewire_input(cell, pin, w).unwrap();
-        }
+        nl.replace_uses(placeholder, w).unwrap();
         nl.mark_output(y, "y");
         let report = run(&nl);
         let loops = report.with_code(diagnostic::COMBINATIONAL_LOOP);
@@ -448,10 +445,7 @@ mod tests {
         let placeholder = nl.add_net("w");
         let d = nl.add_gate(GateKind::Xor, &[a, placeholder]).unwrap();
         let q = nl.add_dff(d).unwrap();
-        let readers: Vec<_> = nl.net(placeholder).fanout().to_vec();
-        for (cell, pin) in readers {
-            nl.rewire_input(cell, pin, q).unwrap();
-        }
+        nl.replace_uses(placeholder, q).unwrap();
         nl.mark_output(q, "y");
         let report = run(&nl);
         assert!(report.with_code(diagnostic::COMBINATIONAL_LOOP).is_empty());

@@ -424,10 +424,7 @@ mod tests {
         let placeholder = nl.add_net("w");
         let y = nl.add_gate(GateKind::And, &[a, placeholder]).unwrap();
         let w = nl.add_gate(GateKind::Or, &[y, a]).unwrap();
-        let readers: Vec<_> = nl.net(placeholder).fanout().to_vec();
-        for (cell, pin) in readers {
-            nl.rewire_input(cell, pin, w).unwrap();
-        }
+        nl.replace_uses(placeholder, w).unwrap();
         nl.mark_output(y, "y");
         let report = run(
             &nl,

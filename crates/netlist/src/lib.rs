@@ -16,8 +16,8 @@
 //!   hashing; netlists lower into it ([`Aig::from_comb`]), round-trip back
 //!   ([`Aig::to_netlist`]), and shrink to output cones
 //!   ([`Aig::extract_cone`]) before CNF encoding.
-//! * Parsers/writers for the ISCAS-89 `.bench` format ([`bench_format`]) and
-//!   a structural Verilog subset ([`verilog`]).
+//! * The parser and writer for the ISCAS-89 `.bench` format
+//!   ([`bench_format`]), the one netlist file format.
 //!
 //! Lattice-based abstract interpretation over this IR (constant/X
 //! propagation, key-bit taint, SCOAP testability) lives in the companion
@@ -58,7 +58,6 @@ mod netlist;
 mod packed;
 
 pub mod bench_format;
-pub mod verilog;
 
 pub use aig::{extract_cone_netlist, Aig, AigLit, AigNode, ConeExtraction};
 pub use comb::{CombView, SeqState};

@@ -168,9 +168,10 @@ pub struct NetlistStats {
 /// An arena-based gate-level netlist with one implicit global clock.
 ///
 /// Cells are appended through the builder methods ([`Netlist::add_input`],
-/// [`Netlist::add_gate`], [`Netlist::add_dff`], …) and never removed;
-/// locking transformations rewire sinks with [`Netlist::rewire_input`] and
-/// [`Netlist::rewire_output_po`].
+/// [`Netlist::add_gate`], [`Netlist::add_dff`], …) and never removed; an
+/// edit moves readers instead, all of a net's with [`Netlist::replace_uses`]
+/// or one pin with [`Netlist::rewire_input`], and a rebuild sweeps what is
+/// left dead.
 ///
 /// Storage is flat: whatever its size, a netlist owns about a dozen heap
 /// buffers, so a clone is that many `memcpy`s (and one more pass over
@@ -652,6 +653,38 @@ impl Netlist {
             self.live -= 1;
         }
         self.push_sink(new_net, (cell, pin));
+        Ok(())
+    }
+
+    /// Moves every reader of `old` onto `new`: each input pin reading `old`,
+    /// in `old`'s fanout order, and every primary-output entry of `old`.
+    /// The pins of `new`'s own driver keep reading `old`, so a gate spliced
+    /// in series (`new = g(old, ..)`) stays in series.
+    ///
+    /// Each pin moves by [`Netlist::rewire_input`], so both fanout lists
+    /// end up in the order that sequence of rewires leaves them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::UnknownNet`] for an out-of-range id.
+    pub fn replace_uses(&mut self, old: NetId, new: NetId) -> Result<(), NetlistError> {
+        for n in [old, new] {
+            if n.index() >= self.nets.len() {
+                return Err(NetlistError::UnknownNet(n));
+            }
+        }
+        let keep = self.net(new).driver();
+        let readers: Vec<(CellId, usize)> = self
+            .net(old)
+            .fanout()
+            .iter()
+            .copied()
+            .filter(|&(cell, _)| Some(cell) != keep)
+            .collect();
+        for (cell, pin) in readers {
+            self.rewire_input(cell, pin, new)?;
+        }
+        self.rewire_output_po(old, new);
         Ok(())
     }
 
@@ -1235,6 +1268,32 @@ mod tests {
     }
 
     #[test]
+    fn replace_uses_keeps_a_spliced_gate_in_series() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let w = nl.add_gate(GateKind::And, &[a, b]).unwrap();
+        let y = nl.add_gate(GateKind::Inv, &[w]).unwrap();
+        nl.mark_output(w, "w");
+        nl.mark_output(y, "y");
+        let k = nl.add_input("k");
+        let spliced = nl.add_gate(GateKind::Xor, &[w, k]).unwrap();
+        nl.replace_uses(w, spliced).unwrap();
+        let gate = nl.net(spliced).driver().unwrap();
+        let inv = nl.net(y).driver().unwrap();
+        assert_eq!(nl.net(w).fanout(), &[(gate, 0)], "the XOR still reads w");
+        assert_eq!(nl.net(spliced).fanout(), &[(inv, 0)]);
+        assert_eq!(nl.output_nets(), vec![spliced, y], "port w moved");
+        // k=1 inverts the AND on both outputs: w = 0, so port w reads 1
+        // and y reads 0.
+        assert_eq!(nl.eval_comb(&[Zero, One, One]), vec![One, Zero]);
+        assert!(matches!(
+            nl.replace_uses(w, NetId::from_index(99)),
+            Err(NetlistError::UnknownNet(_))
+        ));
+    }
+
+    #[test]
     fn topo_cache_invalidates_on_mutation() {
         let mut nl = full_adder();
         let first = nl.topo_order().unwrap();
@@ -1303,7 +1362,9 @@ mod tests {
     #[derive(Default)]
     struct FanoutModel {
         fanout: Vec<Vec<(CellId, usize)>>,
+        drivers: Vec<Option<CellId>>,
         pins: Vec<Vec<NetId>>,
+        outputs: Vec<NetId>,
         names: std::collections::HashMap<String, NetId>,
     }
 
@@ -1311,15 +1372,18 @@ mod tests {
         fn add_net(&mut self, name: &str) {
             let id = NetId::from_index(self.fanout.len());
             self.fanout.push(Vec::new());
+            self.drivers.push(None);
             self.names.insert(name.to_string(), id);
         }
 
+        /// Adds a cell driving the net added just before it.
         fn add_cell(&mut self, inputs: &[NetId]) {
             let cell = CellId::from_index(self.pins.len());
             for (pin, n) in inputs.iter().enumerate() {
                 self.fanout[n.index()].push((cell, pin));
             }
             self.pins.push(inputs.to_vec());
+            *self.drivers.last_mut().unwrap() = Some(cell);
         }
 
         fn rewire(&mut self, cell: CellId, pin: usize, net: NetId) {
@@ -1328,6 +1392,25 @@ mod tests {
             let pos = list.iter().position(|&e| e == (cell, pin)).unwrap();
             list.swap_remove(pos);
             self.fanout[net.index()].push((cell, pin));
+        }
+
+        /// Every reader of `old` but `new`'s driver, in list order, then
+        /// every output entry.
+        fn replace_uses(&mut self, old: NetId, new: NetId) {
+            let keep = self.drivers[new.index()];
+            let readers: Vec<_> = self.fanout[old.index()]
+                .iter()
+                .copied()
+                .filter(|&(cell, _)| Some(cell) != keep)
+                .collect();
+            for (cell, pin) in readers {
+                self.rewire(cell, pin, new);
+            }
+            for po in &mut self.outputs {
+                if *po == old {
+                    *po = new;
+                }
+            }
         }
 
         fn assert_matches(&self, nl: &Netlist, what: &str) {
@@ -1341,11 +1424,13 @@ mod tests {
             for (name, &id) in &self.names {
                 assert_eq!(nl.net_by_name(name), Some(id), "{what}: {name}");
             }
+            assert_eq!(nl.output_nets(), self.outputs, "{what}: outputs");
         }
     }
 
-    /// Every fanout list equals the reference model, in order, after
-    /// random builds and rewires, through clones, compactions and
+    /// Every fanout list and output entry equals the reference model, in
+    /// order, after random builds, rewires, output marks and
+    /// [`Netlist::replace_uses`] calls, through clones, compactions and
     /// [`Netlist::shrink_to_fit`]; a clone emits what its source emits.
     #[test]
     fn fanout_lists_keep_their_order() {
@@ -1373,7 +1458,7 @@ mod tests {
             for op in 0..ops {
                 let n = nl.net_count();
                 let pick = |rng: &mut StdRng| NetId::from_index(rng.gen_range(0..n));
-                match rng.gen_range(0..10u32) {
+                match rng.gen_range(0..12u32) {
                     0..=3 => {
                         let kind = KINDS[rng.gen_range(0..KINDS.len())];
                         let arity = match kind {
@@ -1397,6 +1482,16 @@ mod tests {
                         let name = format!("w{}", rng.gen_range(0..8u32));
                         nl.add_net(&name);
                         model.add_net(&name);
+                    }
+                    6 => {
+                        let net = pick(&mut rng);
+                        nl.mark_output(net, format!("o{op}"));
+                        model.outputs.push(net);
+                    }
+                    7 => {
+                        let (old, new) = (pick(&mut rng), pick(&mut rng));
+                        nl.replace_uses(old, new).unwrap();
+                        model.replace_uses(old, new);
                     }
                     _ => {
                         let cell = CellId::from_index(rng.gen_range(0..nl.cell_count()));

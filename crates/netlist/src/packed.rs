@@ -211,15 +211,6 @@ impl PackedBuf {
     pub fn net(&self, id: NetId) -> PackedLogic {
         self.nets[id.index()]
     }
-
-    /// Overwrites the word for a net (used to force hypothesis values).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range id.
-    pub fn set_net(&mut self, id: NetId, word: PackedLogic) {
-        self.nets[id.index()] = word;
-    }
 }
 
 /// A netlist levelized once into a flat instruction stream, evaluating 64

@@ -8,7 +8,6 @@
 
 use crate::SimResult;
 use glitchlock_netlist::{EvalProgram, NetId, Netlist, PackedLogic, PackedSeqState};
-use glitchlock_stdcell::Library;
 use rand::Rng;
 
 /// Switching-activity summary of a simulation run.
@@ -44,16 +43,6 @@ pub fn activity(netlist: &Netlist, result: &SimResult) -> ActivityReport {
         report.weighted_toggles += toggles * (net.fanout().len() as u64 + 1);
     }
     report
-}
-
-/// Convenience: the library is accepted for future per-cell capacitance
-/// models; the first-order proxy only needs fanout counts.
-pub fn activity_with_library(
-    netlist: &Netlist,
-    _library: &Library,
-    result: &SimResult,
-) -> ActivityReport {
-    activity(netlist, result)
 }
 
 /// Zero-delay switching-activity estimate from random stimulus: runs 64
@@ -112,7 +101,7 @@ mod tests {
     use super::*;
     use crate::{SimConfig, Simulator, Stimulus};
     use glitchlock_netlist::{GateKind, Logic, LANES};
-    use glitchlock_stdcell::Ps;
+    use glitchlock_stdcell::{Library, Ps};
 
     #[test]
     fn toggles_counted_and_weighted() {

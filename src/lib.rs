@@ -6,7 +6,8 @@
 //! This facade crate re-exports the whole workspace so applications can
 //! depend on a single crate:
 //!
-//! * [`netlist`] — gate-level IR, `.bench`/Verilog-lite I/O, cone analysis.
+//! * [`netlist`] — gate-level IR, `.bench` I/O (the one netlist format),
+//!   cone analysis.
 //! * [`aig`] — And-Inverter Graph with complemented edges, structural
 //!   hashing, netlist lowering/re-emission, and output-cone extraction
 //!   (the substrate behind every SAT miter's CNF encoding).

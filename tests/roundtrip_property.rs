@@ -1,17 +1,17 @@
-//! Print→parse round-trip property tests for the two netlist text formats.
+//! Print→parse round-trip property tests for the `.bench` format.
 //!
-//! Three properties, for `.bench` and Verilog-lite alike:
+//! Three properties:
 //!
 //! 1. **Fixpoint**: emit→parse→emit converges after one iteration (the
 //!    first round trip may rewrite primary-output aliases into explicit
-//!    BUFF/assign form; after that, the text must be stable).
+//!    BUFF form; after that, the text must be stable).
 //! 2. **Semantic preservation**: the parsed netlist steps identically to
 //!    the original under random stimulus (zero-delay sequential semantics).
 //! 3. **Name preservation**: awkward identifiers — digits, underscores,
 //!    one-letter names — survive the trip, as do output port names.
 
 use glitchlock::fuzz::{materialize, random_recipe};
-use glitchlock::netlist::{bench_format, verilog, GateKind, Logic, Netlist, SeqState};
+use glitchlock::netlist::{bench_format, GateKind, Logic, Netlist, SeqState};
 use glitchlock::stdcell::Library;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,29 +43,19 @@ fn check_bench(nl: &Netlist, seed: u64) {
     step_equal(nl, &p1, seed, 16);
 }
 
-fn check_verilog(nl: &Netlist, seed: u64) {
-    let t1 = verilog::emit(nl);
-    let p1 = verilog::parse(&t1).expect("verilog parses its own emission");
-    let t2 = verilog::emit(&p1);
-    let p2 = verilog::parse(&t2).expect("verilog parses fixpoint text");
-    assert_eq!(t2, verilog::emit(&p2), "verilog emission is not a fixpoint");
-    step_equal(nl, &p1, seed, 16);
-}
-
 #[test]
-fn random_netlists_round_trip_both_formats() {
+fn random_netlists_round_trip() {
     let library = Library::cl013g_like().with_gk_delay_macros();
     for seed in 0..40u64 {
         let case = materialize(&random_recipe(seed), &library);
         check_bench(&case.netlist, seed ^ 0xb);
-        check_verilog(&case.netlist, seed ^ 0x7e);
     }
 }
 
 #[test]
 fn awkward_identifiers_survive() {
     // Digits, underscores, single letters, digit-leading tails: all legal
-    // net names in both formats and all must come back verbatim.
+    // net names, and all must come back verbatim.
     let mut nl = Netlist::new("ids_0_1");
     let a = nl.add_input("a");
     let b = nl.add_input("in_2");
@@ -78,26 +68,16 @@ fn awkward_identifiers_survive() {
     nl.mark_output(y, "and_00");
     nl.validate().unwrap();
 
-    for (emit, parse) in [
-        (
-            bench_format::emit as fn(&Netlist) -> String,
-            (|s| bench_format::parse(s)) as fn(&str) -> Result<Netlist, _>,
-        ),
-        (verilog::emit as fn(&Netlist) -> String, |s| {
-            verilog::parse(s)
-        }),
-    ] {
-        let back = parse(&emit(&nl)).expect("parses");
-        for name in ["a", "in_2", "n0_1_2", "and_00", "G17_q_3"] {
-            assert!(
-                back.net_by_name(name).is_some(),
-                "identifier {name} lost in round trip"
-            );
-        }
-        let ports: Vec<&str> = back.output_ports().map(|(_, n)| n).collect();
-        assert!(ports.contains(&"po_0"), "output port name lost: {ports:?}");
-        step_equal(&nl, &back, 5, 8);
+    let back = bench_format::parse(&bench_format::emit(&nl)).expect("parses");
+    for name in ["a", "in_2", "n0_1_2", "and_00", "G17_q_3"] {
+        assert!(
+            back.net_by_name(name).is_some(),
+            "identifier {name} lost in round trip"
+        );
     }
+    let ports: Vec<&str> = back.output_ports().map(|(_, n)| n).collect();
+    assert!(ports.contains(&"po_0"), "output port name lost: {ports:?}");
+    step_equal(&nl, &back, 5, 8);
 }
 
 #[test]
@@ -109,13 +89,12 @@ fn single_gate_netlist_round_trips() {
     nl.mark_output(y, "y");
     nl.validate().unwrap();
     check_bench(&nl, 1);
-    check_verilog(&nl, 1);
 }
 
 #[test]
 fn empty_output_netlist_round_trips() {
-    // Inputs and a gate but no primary outputs: both formats must emit
-    // and re-parse it without inventing or dropping structure.
+    // Inputs and a gate but no primary outputs: the format must emit and
+    // re-parse it without inventing or dropping structure.
     let mut nl = Netlist::new("noout");
     let a = nl.add_input("a");
     let b = nl.add_input("b");
@@ -125,10 +104,6 @@ fn empty_output_netlist_round_trips() {
     let p1 = bench_format::parse(&bench_format::emit(&nl)).expect("bench parses");
     assert_eq!(p1.input_nets().len(), 2);
     assert_eq!(p1.output_ports().len(), 0);
-
-    let p2 = verilog::parse(&verilog::emit(&nl)).expect("verilog parses");
-    assert_eq!(p2.input_nets().len(), 2);
-    assert_eq!(p2.output_ports().len(), 0);
 }
 
 #[test]
@@ -138,5 +113,4 @@ fn input_only_netlist_round_trips() {
     nl.mark_output(a, "a0");
     nl.validate().unwrap();
     check_bench(&nl, 2);
-    check_verilog(&nl, 2);
 }
