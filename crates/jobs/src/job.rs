@@ -334,6 +334,9 @@ pub fn execute(job: &JobSpec, tuning: &Tuning, cancel: &CancelToken) -> JobRecor
             } else {
                 let mut best_rate = 0.0_f64;
                 let mut removed: Option<String> = None;
+                // Each candidate's two bypasses (tied to 0, then 1) with
+                // their relocated key inputs, kept for the cone retry.
+                let mut bypasses = Vec::with_capacity(2 * candidates.len());
                 for &net in &candidates {
                     for value in [false, true] {
                         let bypassed = bypass_net(&view, net, value);
@@ -353,6 +356,7 @@ pub fn execute(job: &JobSpec, tuning: &Tuning, cancel: &CancelToken) -> JobRecor
                             removed = Some(view.net(net).name().to_string());
                             break;
                         }
+                        bypasses.push((bypassed, keys));
                     }
                     if removed.is_some() {
                         break;
@@ -368,20 +372,20 @@ pub fn execute(job: &JobSpec, tuning: &Tuning, cancel: &CancelToken) -> JobRecor
                         // the candidate never reaches match the oracle —
                         // impossible when other key-gates corrupt them.
                         // Retry on the extracted cone of each candidate's
-                        // reachable outputs before giving up.
+                        // reachable outputs before giving up, on the
+                        // bypasses the full pass built.
                         let mut cone_best = 0.0_f64;
                         let mut cone_removed: Option<String> = None;
-                        'cone: for &net in &candidates {
+                        let retries = candidates.iter().zip(bypasses.chunks_exact(2));
+                        'cone: for (&net, both) in retries {
                             let keep = reachable_view_outputs(&view, net);
                             if keep.is_empty() {
                                 continue;
                             }
-                            for value in [false, true] {
-                                let bypassed = bypass_net(&view, net, value);
-                                let keys = relocate_inputs(&view, &key_inputs, &bypassed);
+                            for (bypassed, keys) in both {
                                 let rate = cone_bypass_match_rate(
-                                    &bypassed,
-                                    &keys,
+                                    bypassed,
+                                    keys,
                                     &vec![false; keys.len()],
                                     &oracle,
                                     &keep,

@@ -11,6 +11,10 @@
 //!   rephasing. Supports incremental clause addition between solves and
 //!   solving under assumptions with unsat-core extraction
 //!   ([`Solver::failed_assumptions`]) — all used by the attack's DIP loop.
+//!   Clauses live in one flat `Vec<u32>` arena (inline header, then the
+//!   literal codes), binary clauses are decided from their watchers
+//!   alone, and each literal has its own value byte; the arena is
+//!   compacted once reduction leaves it half deleted.
 //! * [`Cnf`]/[`Lit`]/[`Var`] — clause database types.
 //! * [`encoder`] — the netlist-to-CNF encoder: a gate-level netlist's
 //!   combinational view is lowered to a strash-deduplicated

@@ -6,7 +6,7 @@
 //! (storage), `restart` (schedule), `reduce` (DB reduction), `heap`
 //! (VSIDS order).
 
-use crate::clause::{Clause, ClauseRef, Watcher, GLUE_LBD};
+use crate::clause::{ClauseArena, ClauseRef, Watcher, GLUE_LBD};
 use crate::heap::ActivityHeap;
 use crate::restart::RestartState;
 use crate::{Cnf, Lit, Var};
@@ -61,22 +61,10 @@ impl SolverStats {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Assign {
-    True,
-    False,
-    Unassigned,
-}
-
-impl Assign {
-    fn from_bool(b: bool) -> Assign {
-        if b {
-            Assign::True
-        } else {
-            Assign::False
-        }
-    }
-}
+/// Value bytes, one per literal code: a literal's value is one load.
+const FALSE: u8 = 0;
+const TRUE: u8 = 1;
+pub(crate) const UNDEF: u8 = 2;
 
 const VAR_DECAY: f64 = 0.95;
 const CLA_DECAY: f64 = 0.999;
@@ -95,9 +83,10 @@ const REPHASE_INTERVAL: u64 = 10_000;
 /// docs for an example.
 #[derive(Clone, Debug)]
 pub struct Solver {
-    pub(crate) clauses: Vec<Clause>,
-    watches: Vec<Vec<Watcher>>,
-    pub(crate) assigns: Vec<Assign>,
+    pub(crate) arena: ClauseArena,
+    pub(crate) watches: Vec<Vec<Watcher>>,
+    /// The value of each literal, indexed by [`Lit::code`].
+    vals: Vec<u8>,
     polarity: Vec<bool>,
     activity: Vec<f64>,
     var_inc: f64,
@@ -111,8 +100,8 @@ pub struct Solver {
     seen: Vec<bool>,
     /// False once an empty clause has been derived at level 0.
     ok: bool,
-    /// Model snapshot taken before backtracking out of a SAT answer.
-    saved_model: Vec<Assign>,
+    /// Literal values copied before backtracking out of a SAT answer.
+    saved_model: Vec<u8>,
     pub(crate) stats: SolverStats,
     pub(crate) num_learnt: usize,
     restart: RestartState,
@@ -130,6 +119,10 @@ pub struct Solver {
     /// Stamp array indexed by decision level, for O(len) LBD computation.
     lbd_stamp: Vec<u64>,
     lbd_gen: u64,
+    /// Scratch buffers reused across calls: `add_clause`'s normalized
+    /// literals and `analyze`'s learnt clause.
+    add_buf: Vec<Lit>,
+    learnt_buf: Vec<Lit>,
 }
 
 impl Default for Solver {
@@ -142,9 +135,9 @@ impl Solver {
     /// An empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
+            arena: ClauseArena::default(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             polarity: Vec::new(),
             activity: Vec::new(),
             var_inc: 1.0,
@@ -169,6 +162,8 @@ impl Solver {
             live_clauses: 0,
             lbd_stamp: vec![0],
             lbd_gen: 0,
+            add_buf: Vec::new(),
+            learnt_buf: Vec::new(),
         }
     }
 
@@ -186,8 +181,8 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(Assign::Unassigned);
+        let v = Var(self.level.len() as u32);
+        self.vals.extend([UNDEF, UNDEF]);
         self.polarity.push(false);
         self.best_phase.push(false);
         self.activity.push(0.0);
@@ -198,14 +193,14 @@ impl Solver {
         self.watches.push(Vec::new());
         // Decision levels never exceed the variable count.
         self.lbd_stamp.push(0);
-        self.order.grow_to(self.assigns.len());
+        self.order.grow_to(self.level.len());
         self.order.insert(v, &self.activity);
         v
     }
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> u32 {
-        self.assigns.len() as u32
+        self.level.len() as u32
     }
 
     /// Number of live (non-deleted) clauses, learnt ones included. Attack
@@ -231,28 +226,9 @@ impl Solver {
         &self.failed
     }
 
-    fn lit_value(&self, l: Lit) -> Assign {
-        Self::lit_value_in(&self.assigns, l)
-    }
-
-    fn lit_value_in(assigns: &[Assign], l: Lit) -> Assign {
-        match assigns[l.var().index()] {
-            Assign::Unassigned => Assign::Unassigned,
-            Assign::True => {
-                if l.is_neg() {
-                    Assign::False
-                } else {
-                    Assign::True
-                }
-            }
-            Assign::False => {
-                if l.is_neg() {
-                    Assign::True
-                } else {
-                    Assign::False
-                }
-            }
-        }
+    /// [`TRUE`], [`FALSE`] or [`UNDEF`].
+    pub(crate) fn lit_value(&self, l: Lit) -> u8 {
+        self.vals[l.code()]
     }
 
     /// Adds a clause. Returns `false` if the solver is now known
@@ -274,23 +250,33 @@ impl Solver {
         for l in lits {
             assert!(l.var().0 < self.num_vars(), "literal {l} out of range");
         }
-        // Normalize: drop duplicate and false literals, detect tautologies
-        // and satisfied clauses.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        for (i, &l) in sorted.iter().enumerate() {
-            if i > 0 && sorted[i - 1] == !l {
-                return true; // tautology: p and !p adjacent after sort
+        // Normalize in the reused buffer: drop duplicate and false
+        // literals, detect tautologies and satisfied clauses.
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend_from_slice(lits);
+        c.sort_unstable();
+        c.dedup();
+        let mut kept = 0;
+        let mut satisfied = false;
+        let mut prev = None;
+        for i in 0..c.len() {
+            let l = c[i];
+            // A tautology has p and !p adjacent after the sort; a true
+            // literal satisfies the clause at level 0.
+            if prev == Some(!l) || self.lit_value(l) == TRUE {
+                satisfied = true;
+                break;
             }
-            match self.lit_value(l) {
-                Assign::True => return true, // already satisfied at level 0
-                Assign::False => {}          // drop the false literal
-                Assign::Unassigned => c.push(l),
+            prev = Some(l);
+            if self.lit_value(l) == UNDEF {
+                c[kept] = l;
+                kept += 1;
             }
         }
-        match c.len() {
+        c.truncate(kept);
+        let ok = match c.len() {
+            _ if satisfied => true,
             0 => {
                 self.ok = false;
                 false
@@ -301,35 +287,33 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(c, false, 0);
+                self.attach_clause(&c, false, 0);
                 true
             }
-        }
+        };
+        self.add_buf = c;
+        ok
     }
 
-    pub(crate) fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> ClauseRef {
+    /// Stores a clause of two or more literals and watches its first two.
+    pub(crate) fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len() as ClauseRef;
-        self.watches[(!lits[0]).code()].push(Watcher {
-            cref,
-            blocker: lits[1],
-        });
-        self.watches[(!lits[1]).code()].push(Watcher {
-            cref,
-            blocker: lits[0],
-        });
+        let cref = self.arena.alloc(lits, learnt, lbd);
+        let binary = lits.len() == 2;
+        self.watches[(!lits[0]).code()].push(Watcher::new(cref, lits[1], binary));
+        self.watches[(!lits[1]).code()].push(Watcher::new(cref, lits[0], binary));
         if learnt {
             self.num_learnt += 1;
         }
         self.live_clauses += 1;
-        self.clauses.push(Clause::new(lits, learnt, lbd));
         cref
     }
 
     pub(crate) fn enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
-        debug_assert_eq!(self.lit_value(l), Assign::Unassigned);
+        debug_assert_eq!(self.lit_value(l), UNDEF);
         let v = l.var();
-        self.assigns[v.index()] = Assign::from_bool(!l.is_neg());
+        self.vals[l.code()] = TRUE;
+        self.vals[(!l).code()] = FALSE;
         self.polarity[v.index()] = !l.is_neg();
         self.reason[v.index()] = reason;
         self.level[v.index()] = self.decision_level();
@@ -341,70 +325,68 @@ impl Solver {
     }
 
     /// Unit propagation; returns the conflicting clause, if any.
+    ///
+    /// A binary clause is decided from its watcher: the blocker is the
+    /// other literal, enqueued or reported as the conflict without reading
+    /// the arena. A conflicting binary clause is rewritten `[other, ¬p]`,
+    /// the order every clause the loop visits is left in, so conflict
+    /// analysis walks it the same way.
     fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
-            let mut i = 0;
+            let false_lit = (!p).code() as u32;
             // take the watcher list to appease the borrow checker; put it
             // back (with moved-out entries removed) afterwards.
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
-            let mut j = 0;
+            let (mut i, mut j) = (0, 0);
             let mut conflict = None;
-            'watchers: while i < ws.len() {
+            while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.lit_value(w.blocker) == Assign::True {
+                let blocker_value = self.vals[w.blocker.code()];
+                if blocker_value == TRUE {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let (first, moved_to) = {
-                    let assigns = &self.assigns;
-                    let cl = &mut self.clauses[w.cref as usize];
-                    if cl.deleted {
-                        continue; // lazily drop watchers of deleted clauses
+                let cref = w.cref();
+                let first = if w.is_binary() {
+                    if blocker_value == FALSE {
+                        let codes = self.arena.codes_mut(cref);
+                        codes[0] = w.blocker.code() as u32;
+                        codes[1] = false_lit;
                     }
+                    w.blocker
+                } else {
+                    let codes = self.arena.codes_mut(cref);
                     // Ensure the false literal (!p) is in slot 1.
-                    if cl.lits[0] == !p {
-                        cl.lits.swap(0, 1);
+                    if codes[0] == false_lit {
+                        codes.swap(0, 1);
                     }
-                    debug_assert_eq!(cl.lits[1], !p);
-                    let first = cl.lits[0];
-                    if first != w.blocker && Self::lit_value_in(assigns, first) == Assign::True {
-                        ws[j] = Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        };
+                    debug_assert_eq!(codes[1], false_lit);
+                    let first = Lit::from_code(codes[0] as usize);
+                    if first != w.blocker && self.vals[first.code()] == TRUE {
+                        ws[j] = Watcher::new(cref, first, false);
                         j += 1;
                         continue;
                     }
                     // Look for a new literal to watch.
-                    let mut moved_to = None;
-                    for k in 2..cl.lits.len() {
-                        if Self::lit_value_in(assigns, cl.lits[k]) != Assign::False {
-                            cl.lits.swap(1, k);
-                            moved_to = Some(cl.lits[1]);
-                            break;
-                        }
+                    if let Some(k) =
+                        (2..codes.len()).find(|&k| self.vals[codes[k] as usize] != FALSE)
+                    {
+                        codes.swap(1, k);
+                        let new_watch = Lit::from_code(codes[1] as usize);
+                        self.watches[(!new_watch).code()].push(Watcher::new(cref, first, false));
+                        continue;
                     }
-                    (first, moved_to)
+                    first
                 };
-                if let Some(new_watch) = moved_to {
-                    self.watches[(!new_watch).code()].push(Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                    });
-                    continue 'watchers;
-                }
                 // Clause is unit or conflicting.
-                ws[j] = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                };
+                ws[j] = Watcher::new(cref, first, w.is_binary());
                 j += 1;
-                if self.lit_value(first) == Assign::False {
+                if self.vals[first.code()] == FALSE {
                     // Conflict: keep remaining watchers and bail out.
                     while i < ws.len() {
                         ws[j] = ws[i];
@@ -412,9 +394,9 @@ impl Solver {
                         i += 1;
                     }
                     self.qhead = self.trail.len();
-                    conflict = Some(w.cref);
+                    conflict = Some(cref);
                 } else {
-                    self.enqueue(first, Some(w.cref));
+                    self.enqueue(first, Some(cref));
                 }
             }
             ws.truncate(j);
@@ -439,12 +421,10 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref as usize];
-        c.activity += self.cla_inc as f32;
-        if c.activity > 1e20 {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-20;
-            }
+        let activity = self.arena.activity(cref) + self.cla_inc as f32;
+        self.arena.set_activity(cref, activity);
+        if activity > 1e20 {
+            self.arena.scale_activities(1e-20);
             self.cla_inc *= 1e-20;
         }
     }
@@ -453,48 +433,74 @@ impl Solver {
     /// of distinct non-zero decision levels among them. O(len) via a
     /// per-level stamp array.
     pub(crate) fn lbd_of(&mut self, lits: &[Lit]) -> u32 {
-        self.lbd_gen += 1;
-        let gen = self.lbd_gen;
+        Self::lbd_in(
+            &self.level,
+            &mut self.lbd_stamp,
+            &mut self.lbd_gen,
+            lits.iter().copied(),
+        )
+    }
+
+    fn lbd_in(
+        level: &[u32],
+        stamp: &mut [u64],
+        gen: &mut u64,
+        lits: impl Iterator<Item = Lit>,
+    ) -> u32 {
+        *gen += 1;
         let mut distinct = 0u32;
-        for &l in lits {
-            let lvl = self.level[l.var().index()] as usize;
+        for l in lits {
+            let lvl = level[l.var().index()] as usize;
             if lvl == 0 {
                 continue;
             }
-            if self.lbd_stamp[lvl] != gen {
-                self.lbd_stamp[lvl] = gen;
+            if stamp[lvl] != *gen {
+                stamp[lvl] = *gen;
                 distinct += 1;
             }
         }
         distinct
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first, max-level literal second), the backtrack level, and
-    /// the learnt clause's LBD.
-    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // placeholder
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first, max-level literal second) in `learnt_buf` and
+    /// returns the backtrack level and the learnt clause's LBD.
+    ///
+    /// A reason clause is read by skipping its implied literal: a long
+    /// reason keeps it in slot 0, a binary one anywhere.
+    fn analyze(&mut self, mut confl: ClauseRef) -> (u32, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        learnt.clear();
+        learnt.push(Lit::pos(Var(0))); // placeholder
         let mut counter = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         loop {
-            let lits = self.clauses[confl as usize].lits.clone();
-            if self.clauses[confl as usize].learnt {
+            if self.arena.is_learnt(confl) {
                 self.bump_clause(confl);
                 // Dynamic LBD: a clause re-used in conflict analysis whose
                 // LBD improved is doing well — refresh the score and shield
                 // it from the next reduction.
-                let fresh = self.lbd_of(&lits);
-                let c = &mut self.clauses[confl as usize];
-                if c.lbd != 0 && fresh < c.lbd {
-                    c.lbd = fresh.max(1);
-                    if c.lbd > GLUE_LBD {
-                        c.protected = true;
+                let fresh = Self::lbd_in(
+                    &self.level,
+                    &mut self.lbd_stamp,
+                    &mut self.lbd_gen,
+                    self.arena.lits(confl),
+                );
+                let lbd = self.arena.lbd(confl);
+                if lbd != 0 && fresh < lbd {
+                    let lbd = fresh.max(1);
+                    self.arena.set_lbd(confl, lbd);
+                    if lbd > GLUE_LBD {
+                        self.arena.protect(confl);
                     }
                 }
             }
-            let start = if p.is_some() { 1 } else { 0 };
-            for &q in &lits[start..] {
+            for k in 0..self.arena.len(confl) {
+                let q = self.arena.lit(confl, k);
+                if Some(q) == p {
+                    continue;
+                }
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -523,11 +529,11 @@ impl Solver {
             p = Some(pl);
             confl = self.reason[pl.var().index()]
                 .expect("non-decision literal on conflict side must have a reason");
-            // Invariant: a reason clause always has its implied literal in
-            // slot 0 (propagate enqueues lits[0], and the watch code never
-            // moves the slot-0 literal of a clause that is acting as a
-            // reason), so `start = 1` below skips it.
-            debug_assert_eq!(self.clauses[confl as usize].lits[0], pl);
+            // Invariant: a long reason clause always has its implied
+            // literal in slot 0 (propagate enqueues lits[0], and the watch
+            // code never moves the slot-0 literal of a clause that is
+            // acting as a reason), so skipping `p` visits lits[1..].
+            debug_assert!(self.arena.len(confl) == 2 || self.arena.lit(confl, 0) == pl);
         }
         // Clear seen flags for the learnt clause.
         for l in &learnt {
@@ -548,18 +554,21 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
         };
-        (learnt, bt, lbd)
+        self.learnt_buf = learnt;
+        (bt, lbd)
     }
 
     /// Final-conflict analysis (MiniSat's `analyzeFinal`): the assumption
     /// `p` came up false during assumption extension; walk the
     /// implication trail backwards to collect the subset of assumption
-    /// decisions that forced it. Returns the core, `p` included.
-    fn analyze_final(&mut self, p: Lit) -> Vec<Lit> {
-        let mut core = vec![p];
+    /// decisions that forced it. Leaves the core, `p` included, in
+    /// `failed`.
+    fn analyze_final(&mut self, p: Lit) {
+        self.failed.clear();
+        self.failed.push(p);
         if self.level[p.var().index()] == 0 || self.trail_lim.is_empty() {
             // `!p` holds at level 0: the formula alone refutes `p`.
-            return core;
+            return;
         }
         self.seen[p.var().index()] = true;
         for i in (self.trail_lim[0]..self.trail.len()).rev() {
@@ -571,19 +580,17 @@ impl Solver {
             match self.reason[v.index()] {
                 // During assumption extension every decision on the trail
                 // is itself an assumption: it belongs in the core.
-                None => core.push(self.trail[i]),
+                None => self.failed.push(self.trail[i]),
                 Some(cref) => {
-                    let lits = self.clauses[cref as usize].lits.clone();
-                    // lits[0] is the implied literal (`trail[i]` itself).
-                    for &q in &lits[1..] {
-                        if self.level[q.var().index()] > 0 {
+                    // Every literal but the implied one (`trail[i]`).
+                    for q in self.arena.lits(cref) {
+                        if q.var() != v && self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
                     }
                 }
             }
         }
-        core
     }
 
     fn cancel_until(&mut self, level: u32) {
@@ -592,8 +599,10 @@ impl Solver {
         }
         let target = self.trail_lim[level as usize];
         for i in (target..self.trail.len()).rev() {
-            let v = self.trail[i].var();
-            self.assigns[v.index()] = Assign::Unassigned;
+            let l = self.trail[i];
+            self.vals[l.code()] = UNDEF;
+            self.vals[(!l).code()] = UNDEF;
+            let v = l.var();
             self.reason[v.index()] = None;
             self.order.insert(v, &self.activity);
         }
@@ -604,7 +613,7 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assigns[v.index()] == Assign::Unassigned {
+            if self.lit_value(Lit::pos(v)) == UNDEF {
                 return Some(v);
             }
         }
@@ -637,10 +646,9 @@ impl Solver {
             return SatResult::Unsat;
         }
         let result = self.search(assumptions);
+        self.saved_model.clear();
         if result == SatResult::Sat {
-            self.saved_model = self.assigns.clone();
-        } else {
-            self.saved_model.clear();
+            self.saved_model.extend_from_slice(&self.vals);
         }
         self.cancel_until(0);
         result
@@ -655,24 +663,26 @@ impl Solver {
                     return SatResult::Unsat;
                 }
                 self.snapshot_best_phase();
-                let (learnt, bt, lbd) = self.analyze(confl);
+                let (bt, lbd) = self.analyze(confl);
                 self.stats.lbd_sum += u64::from(lbd);
                 self.restart.on_conflict(lbd, self.trail.len());
                 self.cancel_until(bt);
+                let learnt = std::mem::take(&mut self.learnt_buf);
+                let first = learnt[0];
                 if learnt.len() == 1 {
-                    if self.lit_value(learnt[0]) == Assign::False {
+                    if self.lit_value(first) == FALSE {
                         self.ok = false;
                         return SatResult::Unsat;
                     }
-                    if self.lit_value(learnt[0]) == Assign::Unassigned {
-                        self.enqueue(learnt[0], None);
+                    if self.lit_value(first) == UNDEF {
+                        self.enqueue(first, None);
                     }
                 } else {
-                    let cref = self.attach_clause(learnt, true, lbd.max(1));
-                    let first = self.clauses[cref as usize].lits[0];
+                    let cref = self.attach_clause(&learnt, true, lbd.max(1));
                     self.bump_clause(cref);
                     self.enqueue(first, Some(cref));
                 }
+                self.learnt_buf = learnt;
                 self.var_inc /= VAR_DECAY;
                 self.cla_inc /= CLA_DECAY;
                 if self.stats.conflicts >= self.reduce_limit {
@@ -696,17 +706,17 @@ impl Solver {
                 if (self.decision_level() as usize) < assumptions.len() {
                     let p = assumptions[self.decision_level() as usize];
                     match self.lit_value(p) {
-                        Assign::True => {
+                        TRUE => {
                             // Already satisfied: open an empty level so the
                             // index keeps advancing.
                             self.trail_lim.push(self.trail.len());
                             continue;
                         }
-                        Assign::False => {
-                            self.failed = self.analyze_final(p);
+                        FALSE => {
+                            self.analyze_final(p);
                             return SatResult::Unsat;
                         }
-                        Assign::Unassigned => {
+                        _ => {
                             self.trail_lim.push(self.trail.len());
                             self.enqueue(p, None);
                             continue;
@@ -731,9 +741,9 @@ impl Solver {
     /// `None` when unassigned (a don't-care in the found model) or after an
     /// Unsat answer.
     pub fn value(&self, v: Var) -> Option<bool> {
-        match self.saved_model.get(v.index()) {
-            Some(Assign::True) => Some(true),
-            Some(Assign::False) => Some(false),
+        match self.saved_model.get(Lit::pos(v).code()) {
+            Some(&TRUE) => Some(true),
+            Some(&FALSE) => Some(false),
             _ => None,
         }
     }

@@ -239,8 +239,7 @@ impl<'a> Simulator<'a> {
                     n_changes += 1;
                     waveforms[net.index()].push(ev.time, value);
                     // Propagate to combinational sinks.
-                    let fanout: Vec<(CellId, usize)> = nl.net(net).fanout().to_vec();
-                    for (sink, _) in fanout {
+                    for &(sink, _) in nl.net(net).fanout() {
                         let cell = nl.cell(sink);
                         if !cell.kind().is_combinational() {
                             continue; // flip-flops sample at clock edges
